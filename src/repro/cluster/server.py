@@ -1,11 +1,12 @@
 """Threaded socket front-end for the cluster master.
 
-:class:`MasterServer` owns the listening socket and three kinds of
-threads — an acceptor, one reader per worker connection, and a ticker
-that drives :meth:`ClusterMaster.tick` on a fixed cadence.  Every
-touch of the master state machine happens under one lock: the machine
-itself stays single-threaded (and therefore identical to the one the
-deterministic harness exercises), the server is just its mailroom.
+:class:`MasterServer` runs one reader per worker connection on a
+:class:`repro.net.Server` (which owns the listener, the accept loop and
+the stop contract) plus a ticker that drives :meth:`ClusterMaster.tick`
+on a fixed cadence.  Every touch of the master state machine happens
+under one lock: the machine itself stays single-threaded (and
+therefore identical to the one the deterministic harness exercises),
+the server is just its mailroom.
 
 A connection error or close is reported to the master as a node loss;
 lease expiry catches the cases TCP never reports (silent partition,
@@ -19,6 +20,7 @@ import threading
 import time
 from typing import Dict, Optional, Tuple
 
+from repro import net
 from repro.cluster import wire
 from repro.cluster.master import ClusterMaster
 
@@ -39,50 +41,25 @@ class MasterServer:
         self.tick_interval_s = tick_interval_s
         self._lock = threading.RLock()
         self._stop = threading.Event()
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(32)
-        self.host, self.port = self._listener.getsockname()[:2]
+        self._server = net.Server(self._reader, host, port, "repro-master")
+        self.host, self.port = self._server.address
         #: node_id -> (socket, per-connection sequence stamper)
         self._links: Dict[str, Tuple[socket.socket, wire.MessageWriter]] = {}
-        self._threads: list = []
+        self._ticker = threading.Thread(
+            target=self._tick_loop, name="repro-master-tick", daemon=True
+        )
 
     # ------------------------------------------------------------------
     def start(self) -> "MasterServer":
-        for target in (self._accept_loop, self._tick_loop):
-            thread = threading.Thread(target=target, daemon=True)
-            thread.start()
-            self._threads.append(thread)
+        self._server.start()
+        self._ticker.start()
         return self
 
-    def _accept_loop(self) -> None:
-        self._listener.settimeout(0.2)
-        while not self._stop.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            thread = threading.Thread(
-                target=self._reader, args=(conn,), daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
-
     def _reader(self, conn: socket.socket) -> None:
-        decoder = wire.FrameDecoder()
         node_id: Optional[str] = None
         try:
-            while not self._stop.is_set():
-                messages = wire.recv_frames(conn, decoder)
-                if messages is None:
-                    break
-                for message in messages:
-                    node_id = self._handle(conn, message, node_id)
-        except (OSError, wire.WireError):
-            pass
+            for message in net.iter_frames(conn, wire.FrameDecoder()):
+                node_id = self._handle(conn, message, node_id)
         finally:
             if node_id is not None:
                 with self._lock:
@@ -94,10 +71,6 @@ class MasterServer:
                     if link is not None and link[0] is conn:
                         del self._links[node_id]
                         self.master.node_lost(node_id)
-            try:
-                conn.close()
-            except OSError:
-                pass
 
     def _handle(
         self,
@@ -121,17 +94,7 @@ class MasterServer:
                         # Reconnect with the same node id: retire the old
                         # socket so its reader exits (the ownership check
                         # above keeps it from touching the new link).
-                        # shutdown(), not just close(): the stale reader
-                        # blocked in recv() holds the socket open, and
-                        # only shutdown(2) wakes it with a clean EOF.
-                        try:
-                            stale[0].shutdown(socket.SHUT_RDWR)
-                        except OSError:
-                            pass
-                        try:
-                            stale[0].close()
-                        except OSError:
-                            pass
+                        net.wake(stale[0])
                     self._links[hello_id] = (conn, wire.MessageWriter())
                     node_id = hello_id
                 elif kind == wire.MSG_HEARTBEAT:
@@ -210,23 +173,20 @@ class MasterServer:
             return self.master.metrics_snapshot()
 
     def shutdown(self) -> None:
-        """Tell workers to drain, then stop serving."""
+        """Tell workers to drain, then stop serving.
+
+        The links are dropped before the connections are woken, so
+        the exiting readers do not declare their nodes lost.
+        """
+        self._stop.set()
+        if self._ticker.is_alive():
+            self._ticker.join()
         with self._lock:
-            for node_id, (sock, writer) in list(self._links.items()):
+            for sock, writer in self._links.values():
                 try:
                     sock.sendall(writer.encode(wire.shutdown()))
                 except OSError:
                     pass
-        self._stop.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        with self._lock:
-            for _node_id, (sock, _writer) in list(self._links.items()):
-                try:
-                    sock.close()
-                except OSError:
-                    pass
             self._links.clear()
+        self._server.stop()
         self.master.close()

@@ -1,32 +1,20 @@
-"""Length-prefixed framed messages for the master↔worker link.
+"""Typed JSON messages for the master↔worker link.
 
-The cluster speaks a compact, self-checking protocol built on the same
-primitives as the controller's measurement path
-(:mod:`repro.faults.protocol`): every frame carries a monotonically
-increasing per-direction **sequence number** (a gap means a lost or
-replayed frame — on TCP that signals a desynchronised or hostile peer)
-and an **Adler-32 checksum** over the payload (a mismatch means
-corruption in flight or a framing bug; the frame is rejected, never
-parsed).  Layout::
-
-    <u32 payload length> <u32 sequence> <u32 adler32> <payload bytes>
-
-Payloads are UTF-8 JSON objects with a ``type`` field — small enough
-that JSON wins on debuggability, and floats round-trip exactly through
-Python's shortest-repr JSON encoding, which keeps cost histories
-bit-identical across the wire.
+Framing — sequence numbers, Adler-32 checksums, the length bound — is
+:mod:`repro.net`'s; this module only fixes the payload: UTF-8 JSON
+objects with a ``type`` field.  Small enough that JSON wins on
+debuggability, and floats round-trip exactly through Python's
+shortest-repr JSON encoding, which keeps cost histories bit-identical
+across the wire.
 """
 
 from __future__ import annotations
 
 import json
-import struct
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.faults.protocol import checksum32, dumps_wire
-
-#: Frame header: payload length, sequence number, Adler-32 checksum.
-HEADER = struct.Struct("<III")
+from repro import net
+from repro.faults.protocol import dumps_wire
 
 #: Upper bound on a single payload.  A length prefix beyond this is a
 #: desynchronised stream (or garbage), not a real message — reject it
@@ -41,90 +29,45 @@ MSG_RESULT = "result"        #: worker -> master: job_id, result payload
 MSG_ERROR = "error"          #: worker -> master: job_id, error string
 MSG_SHUTDOWN = "shutdown"    #: master -> worker: drain and exit
 
-
-class WireError(ValueError):
-    """A frame failed validation (checksum, sequence, length, JSON)."""
-
-
-def encode_frame(sequence: int, payload: bytes) -> bytes:
-    """One framed payload, ready for ``sendall``."""
-    if len(payload) > MAX_PAYLOAD_BYTES:
-        raise WireError(
-            f"payload of {len(payload)} bytes exceeds the "
-            f"{MAX_PAYLOAD_BYTES}-byte frame bound"
-        )
-    return (
-        HEADER.pack(len(payload), sequence & 0xFFFFFFFF, checksum32(payload))
-        + payload
-    )
+#: A frame or message failed validation (checksum, sequence, length, JSON).
+WireError = net.FrameError
 
 
-def encode_message(sequence: int, message: Dict[str, object]) -> bytes:
-    """Frame a JSON message (sorted keys: byte-deterministic frames).
+class MessageWriter(net.FrameWriter):
+    """Sender side: frames JSON messages with the next sequence.
 
-    Floats go through the shared
-    :func:`repro.faults.protocol.dumps_wire` encoder, so doubles in
-    result payloads (cost histories, final params) survive bit-exactly.
-    """
-    return encode_frame(sequence, dumps_wire(message).encode())
-
-
-class FrameDecoder:
-    """Incremental receiver side: feed bytes, collect validated messages.
-
-    One decoder per connection per direction.  The decoder enforces the
-    sequence discipline (frames arrive in order, no gaps) and the
-    checksum; a violation raises :class:`WireError` and the connection
-    should be dropped — on a reliable stream there is no point NACKing,
-    the peer is broken.
+    Sorted keys make frames byte-deterministic; floats go through the
+    shared :func:`repro.faults.protocol.dumps_wire` encoder, so doubles
+    in result payloads (cost histories, final params) survive
+    bit-exactly.
     """
 
     def __init__(self) -> None:
-        self._buffer = bytearray()
-        self._expected_sequence = 0
-        self.frames_accepted = 0
+        super().__init__(MAX_PAYLOAD_BYTES)
+
+    def encode(self, message: Dict[str, object]) -> bytes:
+        return super().encode(dumps_wire(message).encode())
+
+
+class FrameDecoder(net.FrameDecoder):
+    """Receiver side: validated frames → typed message dicts."""
+
+    def __init__(self) -> None:
+        super().__init__(MAX_PAYLOAD_BYTES)
 
     def feed(self, data: bytes) -> List[Dict[str, object]]:
-        """Consume bytes; return every complete, validated message."""
-        self._buffer.extend(data)
         messages: List[Dict[str, object]] = []
-        while True:
-            frame = self._next_frame()
-            if frame is None:
-                return messages
-            messages.append(frame)
-
-    def _next_frame(self) -> Optional[Dict[str, object]]:
-        if len(self._buffer) < HEADER.size:
-            return None
-        length, sequence, checksum = HEADER.unpack_from(self._buffer)
-        if length > MAX_PAYLOAD_BYTES:
-            raise WireError(
-                f"frame claims {length} payload bytes "
-                f"(bound {MAX_PAYLOAD_BYTES}); stream desynchronised"
-            )
-        if len(self._buffer) < HEADER.size + length:
-            return None
-        payload = bytes(self._buffer[HEADER.size:HEADER.size + length])
-        del self._buffer[:HEADER.size + length]
-        if sequence != self._expected_sequence:
-            raise WireError(
-                f"sequence gap: expected {self._expected_sequence}, "
-                f"got {sequence}"
-            )
-        if checksum32(payload) != checksum:
-            raise WireError(f"checksum mismatch on frame {sequence}")
-        self._expected_sequence = (sequence + 1) & 0xFFFFFFFF
-        self.frames_accepted += 1
-        try:
-            message = json.loads(payload.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise WireError(f"frame {sequence} payload is not JSON: {exc}")
-        if not isinstance(message, dict) or "type" not in message:
-            raise WireError(
-                f"frame {sequence} payload is not a typed message object"
-            )
-        return message
+        for sequence, payload in super().feed(data):
+            try:
+                message = json.loads(payload.decode())
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise WireError(f"frame {sequence} payload is not JSON: {exc}")
+            if not isinstance(message, dict) or "type" not in message:
+                raise WireError(
+                    f"frame {sequence} payload is not a typed message object"
+                )
+            messages.append(message)
+        return messages
 
 
 # -- message constructors ----------------------------------------------
@@ -169,27 +112,3 @@ def error(node_id: str, job_id: str, message: str) -> Dict[str, object]:
 
 def shutdown() -> Dict[str, object]:
     return {"type": MSG_SHUTDOWN}
-
-
-class MessageWriter:
-    """Sender side: stamps outgoing messages with the next sequence."""
-
-    def __init__(self) -> None:
-        self._next_sequence = 0
-
-    def encode(self, message: Dict[str, object]) -> bytes:
-        data = encode_message(self._next_sequence, message)
-        self._next_sequence = (self._next_sequence + 1) & 0xFFFFFFFF
-        return data
-
-
-def recv_frames(sock, decoder: FrameDecoder) -> Optional[List[Dict[str, object]]]:
-    """Blocking read of one chunk from a socket into the decoder.
-
-    Returns the decoded messages (possibly empty — a partial frame), or
-    ``None`` when the peer closed the connection cleanly.
-    """
-    data = sock.recv(65536)
-    if not data:
-        return None
-    return decoder.feed(data)

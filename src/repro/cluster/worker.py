@@ -17,11 +17,11 @@ intra-node parallelism.
 
 from __future__ import annotations
 
-import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional
 
+from repro import net
 from repro.cluster import wire
 from repro.runtime.cache import EvalCache
 from repro.service.jobs import JobSpec
@@ -147,7 +147,7 @@ def run_worker(
     writer = wire.MessageWriter()
     send_lock = threading.Lock()
     stop = threading.Event()
-    sock = socket.create_connection((host, port))
+    sock = net.connect(host, port)
 
     def send(message: Dict[str, object]) -> None:
         with send_lock:
@@ -182,21 +182,14 @@ def run_worker(
     try:
         send(wire.hello(node_id, capacity))
         heartbeats.start()
-        decoder = wire.FrameDecoder()
-        running = True
-        while running:
-            try:
-                messages = wire.recv_frames(sock, decoder)
-            except (OSError, wire.WireError):
-                break
-            if messages is None:
-                break  # master closed the connection
-            for message in messages:
+        try:
+            for message in net.iter_frames(sock, wire.FrameDecoder()):
                 if message["type"] == wire.MSG_DISPATCH:
                     pool.submit(serve_one, message)
                 elif message["type"] == wire.MSG_SHUTDOWN:
-                    running = False
                     break
+        except (OSError, wire.WireError):
+            pass  # broken stream: the master's lease catches the loss
     finally:
         stop.set()
         pool.shutdown(wait=True)

@@ -47,12 +47,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import net
 from repro.quantum.kernels import PROGRAM_CACHE
 from repro.quantum.parameters import Parameter
 from repro.runtime.engine import EvaluationEngine
 from repro.service.admission import AdmissionController
 from repro.service.health import HealthRegistry
 from repro.service.jobs import JobSpec
+from repro.service import stream as wire
 from repro.service.platforms import build_engine
 from repro.sim.stats import StatGroup
 from repro.vqa import make_optimizer
@@ -510,8 +512,8 @@ def drive_session(
 class SessionServer:
     """TCP front door for streamed sessions (one session per socket).
 
-    A thin thread-per-connection server over
-    :mod:`repro.service.stream`'s framing: OPEN → OPENED (or ERROR),
+    A handler on :class:`repro.net.Server` speaking
+    :mod:`repro.service.stream`'s payloads: OPEN → OPENED (or ERROR),
     then EVAL → VALUE / ERROR until CLOSE → CLOSED.  A connection that
     drops without CLOSE has its session closed server-side, releasing
     the admission charge — the socket *is* the reservation.
@@ -524,32 +526,15 @@ class SessionServer:
         port: int = 0,
     ) -> None:
         self.manager = manager if manager is not None else SessionManager()
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(32)
-        self.address: Tuple[str, int] = self._listener.getsockname()[:2]
-        self._accept_thread: Optional[threading.Thread] = None
-        self._conn_threads: List[threading.Thread] = []
-        self._stop = threading.Event()
+        self._server = net.Server(self._serve, host, port, "repro-session")
+        self.address: Tuple[str, int] = self._server.address
 
     def start(self) -> "SessionServer":
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-session-accept", daemon=True
-        )
-        self._accept_thread.start()
+        self._server.start()
         return self
 
     def stop(self) -> None:
-        self._stop.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-        for thread in self._conn_threads:
-            thread.join(timeout=5.0)
+        self._server.stop()
         self.manager.close_all()
 
     def __enter__(self) -> "SessionServer":
@@ -558,55 +543,25 @@ class SessionServer:
     def __exit__(self, *_exc) -> None:
         self.stop()
 
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            thread = threading.Thread(
-                target=self._serve, args=(conn,),
-                name="repro-session-conn", daemon=True,
-            )
-            thread.start()
-            self._conn_threads.append(thread)
-
     def _serve(self, conn: socket.socket) -> None:
-        from repro.service import stream as wire
-
-        decoder = wire.StreamDecoder()
         writer = wire.StreamWriter()
         session_id: Optional[str] = None
         try:
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            while not self._stop.is_set():
-                data = conn.recv(65536)
-                if not data:
+            for _seq, kind, body in net.iter_frames(conn, wire.StreamDecoder()):
+                reply, session_id, closing = self._handle(kind, body, session_id)
+                conn.sendall(writer.encode(*reply))
+                if closing:
                     return
-                for _seq, kind, body in decoder.feed(data):
-                    reply, session_id, closing = self._handle(
-                        wire, kind, body, session_id
-                    )
-                    if reply is not None:
-                        conn.sendall(writer.encode(*reply))
-                    if closing:
-                        return
-        except (OSError, wire.StreamError):
-            pass  # broken or desynchronised peer: drop the connection
         finally:
             if session_id is not None:
                 try:
                     self.manager.close(session_id)
                 except SessionError:
                     pass
-            try:
-                conn.close()
-            except OSError:
-                pass
 
     def _handle(
-        self, wire, kind: int, body: bytes, session_id: Optional[str]
-    ) -> Tuple[Optional[Tuple[int, bytes]], Optional[str], bool]:
+        self, kind: int, body: bytes, session_id: Optional[str]
+    ) -> Tuple[Tuple[int, bytes], Optional[str], bool]:
         """One request frame → (reply, session id, close-connection?)."""
         try:
             if kind == wire.KIND_OPEN:

@@ -2,12 +2,10 @@
 
 The session tier's hot path: after ``open_session`` registered a
 circuit structure, every request is *just a parameter vector* — no
-JobSpec, no dict validation, no JSON.  Frames reuse the layout shared
-by :mod:`repro.faults.protocol` and :mod:`repro.cluster.wire`::
-
-    <u32 payload length> <u32 sequence> <u32 adler32> <payload bytes>
-
-with the payload's first byte selecting the message kind.  The two
+JobSpec, no dict validation, no JSON.  Framing (sequence numbers,
+Adler-32 checksums, the length bound) is :mod:`repro.net`'s, shared
+with the cluster link; this module fixes the payload, whose first byte
+selects the message kind.  The two
 request/response kinds that carry floats (``EVAL`` / ``VALUE``) pack
 them as little-endian IEEE-754 doubles
 (:func:`repro.faults.protocol.pack_doubles`), so streamed vectors and
@@ -35,28 +33,19 @@ Payload layouts after the kind byte::
 
 from __future__ import annotations
 
-import socket
 import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.faults.protocol import (
-    checksum32,
-    dumps_wire,
-    loads_wire,
-    pack_doubles,
-)
-
-#: Frame header: payload length, sequence number, Adler-32 checksum —
-#: the exact layout of :data:`repro.cluster.wire.HEADER`.
-HEADER = struct.Struct("<III")
+from repro import net
+from repro.faults.protocol import dumps_wire, loads_wire, pack_doubles
 
 #: A parameter vector is a few hundred doubles at most; anything
 #: claiming more than this is a desynchronised stream.
 MAX_PAYLOAD_BYTES = 4 * 1024 * 1024
 
-_EVAL_HEADER = struct.Struct("<III")
+_EVAL_HEADER = struct.Struct("<3I")
 
 # -- message kinds (payload byte 0) -------------------------------------
 KIND_OPEN = 0x01    #: client -> server: register structure, open session
@@ -77,8 +66,8 @@ _KNOWN_KINDS = frozenset(
 _GRADS_HEADER = struct.Struct("<II")
 
 
-class StreamError(ValueError):
-    """A frame failed validation (checksum, sequence, length, kind)."""
+#: A frame or payload failed validation (checksum, sequence, length, kind).
+StreamError = net.FrameError
 
 
 class StreamRemoteError(RuntimeError):
@@ -89,21 +78,7 @@ class StreamRemoteError(RuntimeError):
         self.code = code
 
 
-# -- encoding -----------------------------------------------------------
-def encode_frame(sequence: int, kind: int, body: bytes = b"") -> bytes:
-    """One framed message, ready for ``sendall``."""
-    payload = bytes((kind,)) + body
-    if len(payload) > MAX_PAYLOAD_BYTES:
-        raise StreamError(
-            f"payload of {len(payload)} bytes exceeds the "
-            f"{MAX_PAYLOAD_BYTES}-byte stream bound"
-        )
-    return (
-        HEADER.pack(len(payload), sequence & 0xFFFFFFFF, checksum32(payload))
-        + payload
-    )
-
-
+# -- payload codecs ---------------------------------------------------
 def pack_eval(vectors: Sequence[np.ndarray], shots: int = 0) -> bytes:
     """EVAL body: shot count + vector batch as packed doubles."""
     if not len(vectors):
@@ -215,68 +190,32 @@ def unpack_error(body: bytes) -> Tuple[str, str]:
 
 
 # -- framing ------------------------------------------------------------
-class StreamDecoder:
-    """Incremental receiver: feed bytes, collect ``(seq, kind, body)``.
-
-    Same discipline as :class:`repro.cluster.wire.FrameDecoder`: frames
-    must arrive in sequence with valid checksums; a violation raises
-    :class:`StreamError` and the connection should be dropped.
-    """
+class StreamDecoder(net.FrameDecoder):
+    """Receiver side: validated frames → ``(seq, kind, body)``."""
 
     def __init__(self) -> None:
-        self._buffer = bytearray()
-        self._expected_sequence = 0
-        self.frames_accepted = 0
+        super().__init__(MAX_PAYLOAD_BYTES)
 
     def feed(self, data: bytes) -> List[Tuple[int, int, bytes]]:
-        self._buffer.extend(data)
         frames: List[Tuple[int, int, bytes]] = []
-        while True:
-            frame = self._next_frame()
-            if frame is None:
-                return frames
-            frames.append(frame)
-
-    def _next_frame(self) -> Optional[Tuple[int, int, bytes]]:
-        if len(self._buffer) < HEADER.size:
-            return None
-        length, sequence, checksum = HEADER.unpack_from(self._buffer)
-        if length > MAX_PAYLOAD_BYTES:
-            raise StreamError(
-                f"frame claims {length} payload bytes "
-                f"(bound {MAX_PAYLOAD_BYTES}); stream desynchronised"
-            )
-        if len(self._buffer) < HEADER.size + length:
-            return None
-        payload = bytes(self._buffer[HEADER.size:HEADER.size + length])
-        del self._buffer[:HEADER.size + length]
-        if sequence != self._expected_sequence:
-            raise StreamError(
-                f"sequence gap: expected {self._expected_sequence}, "
-                f"got {sequence}"
-            )
-        if checksum32(payload) != checksum:
-            raise StreamError(f"checksum mismatch on frame {sequence}")
-        if not payload or payload[0] not in _KNOWN_KINDS:
-            raise StreamError(
-                f"frame {sequence} has unknown kind "
-                f"{payload[0] if payload else 'none'}"
-            )
-        self._expected_sequence = (sequence + 1) & 0xFFFFFFFF
-        self.frames_accepted += 1
-        return sequence, payload[0], payload[1:]
+        for sequence, payload in super().feed(data):
+            if not payload or payload[0] not in _KNOWN_KINDS:
+                raise StreamError(
+                    f"frame {sequence} has unknown kind "
+                    f"{payload[0] if payload else 'none'}"
+                )
+            frames.append((sequence, payload[0], payload[1:]))
+        return frames
 
 
-class StreamWriter:
-    """Sender side: stamps outgoing frames with the next sequence."""
+class StreamWriter(net.FrameWriter):
+    """Sender side: frames ``kind + body`` with the next sequence."""
 
     def __init__(self) -> None:
-        self._next_sequence = 0
+        super().__init__(MAX_PAYLOAD_BYTES)
 
     def encode(self, kind: int, body: bytes = b"") -> bytes:
-        data = encode_frame(self._next_sequence, kind, body)
-        self._next_sequence = (self._next_sequence + 1) & 0xFFFFFFFF
-        return data
+        return super().encode(bytes((kind,)) + body)
 
 
 # -- client -------------------------------------------------------------
@@ -290,49 +229,44 @@ class SessionClient:
     """
 
     def __init__(self, host: str, port: int, timeout_s: float = 30.0) -> None:
-        self._sock = socket.create_connection((host, port), timeout=timeout_s)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock = net.connect(host, port, timeout_s)
         self._writer = StreamWriter()
-        self._decoder = StreamDecoder()
-        self._inbox: List[Tuple[int, int, bytes]] = []
+        self._frames = net.iter_frames(self._sock, StreamDecoder())
         self.session: Optional[Dict[str, object]] = None
 
-    def _recv_frame(self) -> Tuple[int, int, bytes]:
-        while not self._inbox:
-            data = self._sock.recv(65536)
-            if not data:
-                raise StreamError("server closed the stream mid-request")
-            self._inbox.extend(self._decoder.feed(data))
-        return self._inbox.pop(0)
+    def _exchange(self, kind: int, body: bytes = b"") -> Tuple[int, bytes]:
+        """Send one request; block for the reply's ``(kind, body)``."""
+        self._sock.sendall(self._writer.encode(kind, body))
+        frame = next(self._frames, None)
+        if frame is None:
+            raise StreamError("server closed the stream mid-request")
+        return frame[1], frame[2]
+
+    def _request(self, kind: int, body: bytes, expected: int, name: str) -> bytes:
+        """One exchange whose reply must be ``expected`` (or ERROR)."""
+        reply_kind, reply = self._exchange(kind, body)
+        if reply_kind == KIND_ERROR:
+            raise StreamRemoteError(*unpack_error(reply))
+        if reply_kind != expected:
+            raise StreamError(f"expected {name}, got kind {reply_kind}")
+        return reply
 
     def open(
         self, spec_dict: Dict[str, object], tenant: str = "default"
     ) -> Dict[str, object]:
         body = pack_json({"spec": spec_dict, "tenant": tenant})
-        self._sock.sendall(self._writer.encode(KIND_OPEN, body))
-        _seq, kind, reply = self._recv_frame()
-        if kind == KIND_ERROR:
-            code, message = unpack_error(reply)
-            raise StreamRemoteError(code, message)
-        if kind != KIND_OPENED:
-            raise StreamError(f"expected OPENED, got kind {kind}")
-        self.session = unpack_json(reply)
+        self.session = unpack_json(
+            self._request(KIND_OPEN, body, KIND_OPENED, "OPENED")
+        )
         return self.session
 
     def evaluate(
         self, vectors: Sequence[np.ndarray], shots: int = 0
     ) -> List[float]:
         """Stream one vector batch; block for its energies."""
-        self._sock.sendall(
-            self._writer.encode(KIND_EVAL, pack_eval(vectors, shots))
+        values = unpack_values(
+            self._request(KIND_EVAL, pack_eval(vectors, shots), KIND_VALUE, "VALUE")
         )
-        _seq, kind, reply = self._recv_frame()
-        if kind == KIND_ERROR:
-            code, message = unpack_error(reply)
-            raise StreamRemoteError(code, message)
-        if kind != KIND_VALUE:
-            raise StreamError(f"expected VALUE, got kind {kind}")
-        values = unpack_values(reply)
         if len(values) != len(vectors):
             raise StreamError(
                 f"server returned {len(values)} energies for "
@@ -351,16 +285,9 @@ class SessionClient:
         structured ``adjoint_unsupported`` ERROR; the session stays
         usable (fall back to :meth:`evaluate` probes).
         """
-        self._sock.sendall(
-            self._writer.encode(KIND_GRAD, pack_eval(vectors, shots))
+        energies, grads = unpack_grads(
+            self._request(KIND_GRAD, pack_eval(vectors, shots), KIND_GRADS, "GRADS")
         )
-        _seq, kind, reply = self._recv_frame()
-        if kind == KIND_ERROR:
-            code, message = unpack_error(reply)
-            raise StreamRemoteError(code, message)
-        if kind != KIND_GRADS:
-            raise StreamError(f"expected GRADS, got kind {kind}")
-        energies, grads = unpack_grads(reply)
         if len(energies) != len(vectors):
             raise StreamError(
                 f"server returned {len(energies)} gradient rows for "
@@ -372,16 +299,12 @@ class SessionClient:
         """Release the session; returns the server's final stats."""
         stats: Optional[Dict[str, object]] = None
         try:
-            self._sock.sendall(self._writer.encode(KIND_CLOSE))
-            _seq, kind, reply = self._recv_frame()
+            kind, reply = self._exchange(KIND_CLOSE)
             if kind == KIND_CLOSED:
                 stats = unpack_json(reply)
         except (OSError, StreamError):
             pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        self._sock.close()
         return stats
 
     def __enter__(self) -> "SessionClient":

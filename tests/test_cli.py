@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import threading
 
 import pytest
 
@@ -239,6 +240,20 @@ class TestServiceCommands:
         out = capsys.readouterr().out
         assert "[done] tenant=alice" in out
         assert "best cost" in out
+
+    def test_session_streams_with_parity_and_exits_clean(self, capsys):
+        code = main([
+            "session", "vqe", "--qubits", "4", "--iterations", "2",
+            "--shots", "100", "--json",
+        ])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["bit_identical"] is True
+        lingering = [
+            t.name for t in threading.enumerate()
+            if t.name.startswith("repro-session-")
+        ]
+        assert lingering == []
 
 
 class TestChaosCommand:

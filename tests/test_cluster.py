@@ -2,9 +2,10 @@
 
 Three layers, mirroring the module split:
 
-* **mechanisms** — wire framing (sequence + checksum discipline), the
-  durable journal (torn tail vs mid-file corruption), rendezvous
-  routing (determinism, minimal disruption);
+* **mechanisms** — the durable journal (torn tail vs mid-file
+  corruption), rendezvous routing (determinism, minimal disruption);
+  the wire framing is covered with the session codec in
+  ``tests/test_net.py``;
 * **master state machine** — driven with a manual clock and a fake
   transport: lease expiry, hang reaping, duplicate settlement, digest
   mismatch, breaker spill, max-attempts failure, journal recovery;
@@ -13,6 +14,7 @@ Three layers, mirroring the module split:
   and a threaded socket smoke test.
 """
 
+import os
 import socket
 import threading
 import time
@@ -61,64 +63,6 @@ def fake_payload(spec, cost=1.5):
         "cost_history": [cost + 1.0, cost],
         "final_params": [0.25, -0.5],
     }
-
-
-# ----------------------------------------------------------------------
-# wire framing
-# ----------------------------------------------------------------------
-class TestWire:
-    def test_roundtrip_chunked(self):
-        writer = wire.MessageWriter()
-        messages = [
-            wire.hello("node-0", 2),
-            wire.heartbeat("node-0"),
-            wire.dispatch("job-1", make_spec().as_dict(), 1),
-            wire.result("node-0", "job-1", {"digest": "d", "final_cost": 0.125}),
-            wire.shutdown(),
-        ]
-        stream = b"".join(writer.encode(m) for m in messages)
-        decoder = wire.FrameDecoder()
-        decoded = []
-        # Feed in awkward 7-byte chunks: partial headers and split
-        # payloads must reassemble without loss or reorder.
-        for offset in range(0, len(stream), 7):
-            decoded.extend(decoder.feed(stream[offset:offset + 7]))
-        assert decoded == messages
-        assert decoder.frames_accepted == len(messages)
-
-    def test_float_bits_survive_json(self):
-        writer = wire.MessageWriter()
-        values = [0.1 + 0.2, 1e-17, 2.0 ** -1074, -0.0, 3.141592653589793]
-        frame = writer.encode(wire.result("n", "j", {"digest": "d", "h": values}))
-        [message] = wire.FrameDecoder().feed(frame)
-        assert [v.hex() for v in message["payload"]["h"]] == [
-            v.hex() for v in values
-        ]
-
-    def test_sequence_gap_rejected(self):
-        frame = wire.encode_message(3, wire.heartbeat("n"))  # expected 0
-        with pytest.raises(wire.WireError, match="sequence gap"):
-            wire.FrameDecoder().feed(frame)
-
-    def test_checksum_mismatch_rejected(self):
-        frame = bytearray(wire.encode_message(0, wire.heartbeat("n")))
-        frame[-1] ^= 0xFF
-        with pytest.raises(wire.WireError, match="checksum"):
-            wire.FrameDecoder().feed(bytes(frame))
-
-    def test_absurd_length_prefix_rejected_before_buffering(self):
-        header = wire.HEADER.pack(wire.MAX_PAYLOAD_BYTES + 1, 0, 0)
-        with pytest.raises(wire.WireError, match="desynchronised"):
-            wire.FrameDecoder().feed(header)
-
-    def test_untyped_payload_rejected(self):
-        frame = wire.encode_frame(0, b'{"no_type": 1}')
-        with pytest.raises(wire.WireError, match="typed message"):
-            wire.FrameDecoder().feed(frame)
-
-    def test_oversize_payload_refused_at_encode(self):
-        with pytest.raises(wire.WireError, match="frame bound"):
-            wire.encode_frame(0, b"x" * (wire.MAX_PAYLOAD_BYTES + 1))
 
 
 # ----------------------------------------------------------------------
@@ -711,6 +655,30 @@ class TestSocketCluster:
                 if sock is not None:
                     sock.close()
             server.shutdown()
+
+    def test_shutdown_reaps_reader_of_silent_connection(self):
+        # A peer that connects but never says HELLO has no link, so
+        # closing the links never reached its reader; shutdown must
+        # wake and join it and release its socket.
+        threads_before = set(threading.enumerate())
+        fds_before = len(os.listdir("/proc/self/fd"))
+        master = ClusterMaster(
+            ClusterConfig(lease_timeout_s=10.0, dispatch_timeout_s=60.0)
+        )
+        server = MasterServer(master, tick_interval_s=0.02).start()
+        silent = socket.create_connection(("127.0.0.1", server.port))
+
+        def started():
+            return [t for t in threading.enumerate() if t not in threads_before]
+
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and len(started()) < 3:
+            time.sleep(0.01)  # acceptor, ticker and the silent peer's reader
+        server.shutdown()
+        leaked = started()
+        silent.close()
+        assert leaked == [], [t.name for t in leaked]
+        assert len(os.listdir("/proc/self/fd")) <= fds_before
 
     def test_socket_results_match_local_harness(self):
         # Same specs through the socket transport and the in-process

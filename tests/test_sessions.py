@@ -1,8 +1,9 @@
 """Tests for the parametric-compilation session tier.
 
 Covers the wire codecs (bit-exact float round-trips, satellite of the
-shared-encoder consolidation), the stream framing discipline, the
-:class:`SessionManager` lifecycle (admission, leases, pinning,
+shared-encoder consolidation), the stream payload codecs (the framing
+discipline is tested with the cluster codec in ``tests/test_net.py``),
+the :class:`SessionManager` lifecycle (admission, leases, pinning,
 failure), the TCP server/client pair, the resident
 :class:`ServiceHost`, and the determinism contract: a streamed
 optimisation reproduces the one-shot job's energy history bit for bit.
@@ -137,7 +138,7 @@ class TestSharedCodecs:
 
 
 # ----------------------------------------------------------------------
-# stream framing
+# stream payload codecs
 # ----------------------------------------------------------------------
 class TestStreamFraming:
     def test_eval_round_trip(self):
@@ -161,39 +162,6 @@ class TestStreamFraming:
     def test_empty_batch_rejected(self):
         with pytest.raises(wire.StreamError, match="at least one"):
             wire.pack_eval([])
-
-    def test_writer_decoder_round_trip_byte_by_byte(self):
-        writer, decoder = wire.StreamWriter(), wire.StreamDecoder()
-        data = writer.encode(wire.KIND_EVAL, wire.pack_eval([np.zeros(4)]))
-        data += writer.encode(wire.KIND_CLOSE)
-        frames = []
-        for i in range(len(data)):  # worst-case fragmentation
-            frames.extend(decoder.feed(data[i:i + 1]))
-        assert [(seq, kind) for seq, kind, _ in frames] == [
-            (0, wire.KIND_EVAL), (1, wire.KIND_CLOSE),
-        ]
-
-    def test_sequence_gap_raises(self):
-        writer, decoder = wire.StreamWriter(), wire.StreamDecoder()
-        writer.encode(wire.KIND_CLOSE)  # frame 0, never delivered
-        with pytest.raises(wire.StreamError, match="sequence gap"):
-            decoder.feed(writer.encode(wire.KIND_CLOSE))
-
-    def test_corrupted_payload_raises(self):
-        data = bytearray(wire.StreamWriter().encode(wire.KIND_CLOSE))
-        data[-1] ^= 0x40
-        with pytest.raises(wire.StreamError, match="checksum|unknown kind"):
-            wire.StreamDecoder().feed(bytes(data))
-
-    def test_unknown_kind_raises(self):
-        data = wire.encode_frame(0, 0x7F)
-        with pytest.raises(wire.StreamError, match="unknown kind"):
-            wire.StreamDecoder().feed(data)
-
-    def test_oversized_claim_raises(self):
-        header = wire.HEADER.pack(wire.MAX_PAYLOAD_BYTES + 1, 0, 0)
-        with pytest.raises(wire.StreamError, match="desynchronised"):
-            wire.StreamDecoder().feed(header)
 
     def test_error_frame_round_trip(self):
         code, message = wire.unpack_error(
