@@ -31,9 +31,10 @@ from repro.sim.kernel import to_ns
 def main():
     config = QtenonConfig(n_qubits=4)
     hierarchy = MemoryHierarchy()
-    controller = QuantumController(
-        config, hierarchy, QuantumDevice(4), Sampler(seed=0)
-    )
+    controller = QuantumController(config, hierarchy, QuantumDevice(4))
+    # The controller models data movement and timing; the measurement
+    # outcomes it streams come from a functional simulation.
+    sampler = Sampler(seed=0)
 
     # ------------------------------------------------------------------
     # 1. write a 4-qubit GHZ-flavoured parameterised circuit and lower it
@@ -99,9 +100,10 @@ def main():
                   f"{report.slt_hits} SLT hits, "
                   f"{to_ns(report.duration_ps):.0f} ns")
         elif mnemonic == "q_run":
-            bound = program.bind_group(0, {theta: 0.785398})
+            bound = program.group_circuits[0].bind({theta: 0.785398})
             run = controller.execute_q_run(
-                bound, instr.shots, now, 0x2000_0000, batched=True
+                bound, instr.shots, now, 0x2000_0000, batched=True,
+                counts=sampler.run(bound, instr.shots).counts,
             )
             now = run.timeline.last_put_response_ps
             print(f"q_run: {instr.shots} shots in "

@@ -157,10 +157,6 @@ class QtenonProgram:
     def all_slot_angles(self, values: Dict[Parameter, float]) -> List[Tuple[int, float]]:
         return [(slot.index, slot.angle(values[slot.parameter])) for slot in self.slots]
 
-    def bind_group(self, group: int, values: Dict[Parameter, float]) -> QuantumCircuit:
-        """Bind a measurement group's circuit for functional execution."""
-        return self.group_circuits[group].bind(values)
-
 
 def _wrap_angle(theta: float) -> float:
     """Wrap to (-2pi, 2pi] so the fixed-point encoding never overflows."""

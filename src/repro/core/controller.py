@@ -4,7 +4,10 @@ Owns the QCC, the per-qubit SLTs + QSpace, the pulse pipeline, the
 RoCC/QCC interfaces and the memory barrier.  Each ``execute_*`` method
 performs the instruction *functionally* (moving real data between the
 host memory image and the QCC) and returns its *timing* so the system
-model can place it on the global timeline.
+model can place it on the global timeline.  The controller never
+samples: ``q_run`` moves measurement data only when the caller hands it
+the shot counts (the platforms compute values from the evaluation spec
+and replay the run for its timeline alone).
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from repro.isa.instructions import QAcquire, QSet, QUpdate
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.device import QuantumDevice
-from repro.quantum.sampler import Sampler
 from repro.sim.clock import HOST_CLOCK
 from repro.sim.stats import StatGroup
 
@@ -58,13 +60,11 @@ class QuantumController:
         config: QtenonConfig,
         hierarchy: MemoryHierarchy,
         device: QuantumDevice,
-        sampler: Sampler,
         fault_injector: Optional["FaultInjector"] = None,
     ) -> None:
         self.config = config
         self.hierarchy = hierarchy
         self.device = device
-        self.sampler = sampler
         self.fault_injector = fault_injector
         self.clock = HOST_CLOCK
 
@@ -189,24 +189,20 @@ class QuantumController:
         now_ps: int,
         host_addr: int,
         batched: bool,
-        stream_results: bool = True,
-        functional: bool = True,
+        counts: Optional[Dict[int, int]] = None,
     ) -> RunResult:
-        """Run ``shots`` shots of the bound ``circuit``.
+        """Run ``shots`` shots of ``circuit`` on the modelled timeline.
 
-        Functionally samples through the quantum backend, packs shot
-        records into ``.measure``, and (when ``stream_results``) pushes
-        them to ``host_addr`` via TileLink PUTs according to the
-        transmission policy, updating the memory barrier per batch.
-
-        ``functional=False`` is the timing-only fast path used by the
-        large sweep benches: the full timeline (shots, batches, PUTs,
-        barrier updates) is computed, but no quantum state is sampled
-        and no measurement data moves.
+        The full timeline (shots, batches, PUTs, barrier updates) is
+        always computed; gate durations do not depend on parameter
+        values, so an unbound circuit carries it.  When the caller
+        passes the run's ``counts`` histogram, the shot records are also
+        packed into ``.measure`` and pushed to ``host_addr`` via framed
+        TileLink PUTs according to the transmission policy.
         """
         record = shot_record_bytes(circuit.n_qubits)
-        if functional:
-            counts = self.sampler.run(circuit, shots).counts
+        shot_words: List[int] = []
+        if counts is not None:
             shot_words = self._expand_counts(counts, shots, circuit.n_qubits)
             # .measure segment fill (wrapping like the circular HW buffer).
             words_per_shot = max(1, -(-record // 8))
@@ -214,9 +210,6 @@ class QuantumController:
                 self.qcc.measure_write(
                     (shot * words_per_shot) % self.config.measure_entries, word
                 )
-        else:
-            counts = {}
-            shot_words = []
 
         shot_ps = self.device.shot_duration_ps(circuit)
         batches = plan_transmissions(circuit.n_qubits, shots, host_addr, batched)
@@ -235,6 +228,9 @@ class QuantumController:
                 for i in range(len(batches))
             ]
             attempts_per_batch = [d.attempts for d in decisions]
+            self.stats.counter("put_retransmits").increment(
+                sum(attempts - 1 for attempts in attempts_per_batch)
+            )
             # A failed attempt costs detection (watchdog / checksum
             # NACK) plus the re-send occupying the output port.
             retry_penalty_ps = (
@@ -251,22 +247,21 @@ class QuantumController:
             retry_penalty_ps=retry_penalty_ps,
         )
 
-        if stream_results:
-            for index, (batch, issue) in enumerate(zip(batches, timeline.put_issue_times)):
-                if functional:
-                    payload = bytearray()
-                    for shot in range(batch.first_shot, batch.first_shot + batch.n_shots):
-                        payload += shot_words[shot].to_bytes(8, "little")[:record]
-                    self._deliver_batch_payload(
-                        batch.host_addr,
-                        bytes(payload),
-                        decisions[index] if decisions else None,
-                    )
-                self.barrier.mark_put(batch.host_addr, batch.n_bytes, issue)
+        for index, (batch, issue) in enumerate(zip(batches, timeline.put_issue_times)):
+            if counts is not None:
+                payload = bytearray()
+                for shot in range(batch.first_shot, batch.first_shot + batch.n_shots):
+                    payload += shot_words[shot].to_bytes(8, "little")[:record]
+                self._deliver_batch_payload(
+                    batch.host_addr,
+                    bytes(payload),
+                    decisions[index] if decisions else None,
+                )
+            self.barrier.mark_put(batch.host_addr, batch.n_bytes, issue)
         return RunResult(
             timeline=timeline,
             shot_words=tuple(shot_words),
-            counts=counts,
+            counts=counts or {},
             host_addr=host_addr,
             n_batches=len(batches),
         )
@@ -300,8 +295,6 @@ class QuantumController:
         if not self.put_verifier.deliver(frame):
             raise RuntimeError("retransmitted PUT frame rejected")
         self.hierarchy.image.write_bytes(host_addr, payload)
-        retransmits = decision.dropped_attempts + decision.corrupted_attempts
-        self.stats.counter("put_retransmits").increment(retransmits)
 
     def _put_response_latency(self, host_addr: int, n_bytes: int, now_ps: int) -> int:
         l2 = self.hierarchy.l2_access_latency(host_addr, max(n_bytes, 8), True, now_ps)
@@ -313,8 +306,8 @@ class QuantumController:
         words: List[int] = []
         for bitstring in sorted(counts):
             words.extend([bitstring] * counts[bitstring])
-        if len(words) != shots:  # pragma: no cover - samplers are exact
-            raise RuntimeError(f"expanded {len(words)} shots, expected {shots}")
+        if len(words) != shots:
+            raise ValueError(f"counts hold {len(words)} shots, expected {shots}")
         return words
 
     # ------------------------------------------------------------------

@@ -10,7 +10,9 @@ controller-level experiments and for testing hand-crafted streams.
 ``q_run`` needs a circuit to execute; register them per run slot with
 :meth:`StreamExecutor.bind_circuit` (the hardware analogue: the
 ``.program`` segment already holds the program, and the executor binds
-the functional simulation side).
+the functional simulation side — its seeded :attr:`StreamExecutor.sampler`
+draws each run's counts, which the controller then moves into
+``.measure`` and streams to host memory).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.isa.instructions import (
     decode_instruction,
 )
 from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.sampler import Sampler
 
 
 @dataclass
@@ -62,6 +65,7 @@ class StreamExecutor:
         self.controller = controller
         self.result_addr = result_addr
         self.batched = batched
+        self.sampler = Sampler()
         self._run_circuits: List[QuantumCircuit] = []
         self._next_run = 0
 
@@ -114,6 +118,7 @@ class StreamExecutor:
                 now,
                 self.result_addr,
                 batched=self.batched,
+                counts=self.sampler.run(circuit, instruction.shots).counts,
             )
             log.runs.append(result)
             return result.timeline.last_put_response_ps

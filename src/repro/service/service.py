@@ -214,13 +214,16 @@ class _CancellablePlatform:
         self._check()
         return self._platform.evaluate(values, shots)
 
-    def evaluate_many(self, values_list, shots):
+    def evaluate_vectors(self, parameters, vectors, shots):
         self._check()
-        inner = getattr(self._platform, "evaluate_many", None)
+        inner = getattr(self._platform, "evaluate_vectors", None)
         if callable(inner):
-            return inner(values_list, shots)
+            return inner(parameters, vectors, shots)
         # Plain platforms get the serial path, one cancel check each.
-        return [self.evaluate(values, shots) for values in values_list]
+        return [
+            self.evaluate({p: float(v) for p, v in zip(parameters, vector)}, shots)
+            for vector in vectors
+        ]
 
     def charge_optimizer_step(self, n_params, method) -> None:
         self._platform.charge_optimizer_step(n_params, method)

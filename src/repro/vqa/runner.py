@@ -24,12 +24,11 @@ from repro.vqa.optimizers import Optimizer
 class Platform(Protocol):
     """What a hybrid execution platform must provide.
 
-    Platforms *may* additionally expose
-    ``evaluate_many(values_list, shots) -> List[float]`` or the raw
-    vector form ``evaluate_vectors(parameters, vectors, shots)`` (see
-    :class:`repro.runtime.EvaluationEngine`); the runner feature-detects
-    them (vector form preferred) and routes the optimizers' independent
-    probe batches through the fastest one available.
+    Platforms *may* additionally expose the batch entry point
+    ``evaluate_vectors(parameters, vectors, shots) -> List[float]`` (both
+    platforms and :class:`repro.runtime.EvaluationEngine` do); the runner
+    feature-detects it and routes the optimizers' independent probe
+    batches through it.
     """
 
     def prepare(self, ansatz: QuantumCircuit, observable: PauliSum) -> None: ...
@@ -114,16 +113,11 @@ class HybridRunner:
 
         evaluate_many = None
         platform_vectors = getattr(self.platform, "evaluate_vectors", None)
-        platform_many = getattr(self.platform, "evaluate_many", None)
         if callable(platform_vectors):
-            # Fastest batch form: hand the raw optimizer vectors over
-            # with the parameter ordering; the platform skips the dict
-            # round-trip per probe (repro.runtime.EvaluationEngine).
+            # Hand the raw optimizer vectors over with the parameter
+            # ordering: the platform evaluates the batch in one pass.
             def evaluate_many(vectors: Sequence[np.ndarray]) -> List[float]:
                 return platform_vectors(self.parameters, vectors, self.shots)
-        elif callable(platform_many):
-            def evaluate_many(vectors: Sequence[np.ndarray]) -> List[float]:
-                return platform_many([bind(v) for v in vectors], self.shots)
 
         evaluate_gradient = None
         platform_gradients = getattr(self.platform, "evaluate_gradients", None)

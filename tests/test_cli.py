@@ -111,6 +111,23 @@ class TestCommands:
         ])
         assert code == 0
 
+    def test_run_default_and_engine_print_one_answer(self, capsys):
+        """The bare platform and the engine wrapper take their values
+        from the same spec under the same seeds."""
+        argv = [
+            "run", "vqe", "--qubits", "6", "--iterations", "2",
+            "--shots", "300", "--optimizer", "gd", "--seed", "3",
+        ]
+
+        def best_cost(extra):
+            assert main(argv + extra) == 0
+            out = capsys.readouterr().out
+            return [line for line in out.splitlines() if "best cost" in line]
+
+        bare = best_cost([])
+        assert len(bare) == 1
+        assert best_cost(["--cache-size", "1"]) == bare
+
     def test_rocket_core(self, capsys):
         code = main([
             "run", "qaoa", "--qubits", "5", "--iterations", "1",

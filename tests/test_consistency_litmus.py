@@ -27,7 +27,7 @@ from repro.sim.kernel import ns
 def rig():
     config = QtenonConfig(n_qubits=2)
     hierarchy = MemoryHierarchy()
-    controller = QuantumController(config, hierarchy, QuantumDevice(2), Sampler(seed=0))
+    controller = QuantumController(config, hierarchy, QuantumDevice(2))
     theta = Parameter("theta")
     circuit = QuantumCircuit(2).ry(theta, 0).ry(theta, 1).measure_all()
     program = lower([transpile(circuit)], config)
@@ -107,9 +107,10 @@ class TestRace2RunVsHostRead:
     # so early batches complete well before the run does.
     def _run(self, rig, shots=300):
         config, hierarchy, controller, program, theta = rig
-        bound = program.bind_group(0, {theta: 0.7})
+        bound = program.group_circuits[0].bind({theta: 0.7})
         result = controller.execute_q_run(
-            bound, shots, now_ps=0, host_addr=HOST_RESULT_BASE, batched=True
+            bound, shots, now_ps=0, host_addr=HOST_RESULT_BASE, batched=True,
+            counts=Sampler(seed=0).run(bound, shots).counts,
         )
         return controller, result
 
@@ -142,9 +143,10 @@ class TestRace2RunVsHostRead:
         """Once the barrier releases an address, the bytes there match
         the shot records the run produced (no torn/stale data)."""
         config, hierarchy, controller, program, theta = rig
-        bound = program.bind_group(0, {theta: 3.14159})  # all-ones shots
+        bound = program.group_circuits[0].bind({theta: 3.14159})  # all-ones shots
         result = controller.execute_q_run(
-            bound, 8, now_ps=0, host_addr=HOST_RESULT_BASE, batched=True
+            bound, 8, now_ps=0, host_addr=HOST_RESULT_BASE, batched=True,
+            counts=Sampler(seed=0).run(bound, 8).counts,
         )
         controller.barrier.query(HOST_RESULT_BASE, result.timeline.quantum_end_ps)
         data = hierarchy.image.read_bytes(HOST_RESULT_BASE, 1)

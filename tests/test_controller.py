@@ -13,9 +13,7 @@ from repro.quantum import Parameter, QuantumCircuit, QuantumDevice, Sampler
 def setup():
     config = QtenonConfig(n_qubits=4)
     hierarchy = MemoryHierarchy()
-    controller = QuantumController(
-        config, hierarchy, QuantumDevice(4), Sampler(seed=0)
-    )
+    controller = QuantumController(config, hierarchy, QuantumDevice(4))
     theta = Parameter("theta")
     circuit = QuantumCircuit(4)
     for q in range(4):
@@ -107,51 +105,71 @@ class TestQGen:
         assert second.slt_hits == len(gates)
 
 
+def sampled_counts(circuit, shots):
+    """The run's outcomes: the controller moves data, it never samples."""
+    return Sampler(seed=0).run(circuit, shots).counts
+
+
 class TestQRun:
     def test_functional_run_writes_measure_segment(self, setup):
         config, _, controller, program, theta = setup
-        bound = program.bind_group(0, {theta: 0.4})
+        bound = program.group_circuits[0].bind({theta: 0.4})
         result = controller.execute_q_run(
-            bound, shots=20, now_ps=0, host_addr=HOST_RESULT_BASE, batched=True
+            bound, shots=20, now_ps=0, host_addr=HOST_RESULT_BASE, batched=True,
+            counts=sampled_counts(bound, 20),
         )
         assert sum(result.counts.values()) == 20
         assert len(result.shot_words) == 20
+        assert controller.qcc.measure_read(0) == result.shot_words[0]
 
     def test_results_streamed_to_host_memory(self, setup):
         config, hierarchy, controller, program, theta = setup
-        bound = program.bind_group(0, {theta: 3.14159})  # ry(pi): all ones
+        bound = program.group_circuits[0].bind({theta: 3.14159})  # ry(pi): all ones
         controller.execute_q_run(
-            bound, shots=8, now_ps=0, host_addr=HOST_RESULT_BASE, batched=True
+            bound, shots=8, now_ps=0, host_addr=HOST_RESULT_BASE, batched=True,
+            counts=sampled_counts(bound, 8),
         )
         # every shot is 0b1111 on 4 qubits -> first byte 0x0F
         assert hierarchy.image.read_bytes(HOST_RESULT_BASE, 1) == b"\x0f"
 
     def test_barrier_marked_per_batch(self, setup):
         config, _, controller, program, theta = setup
-        bound = program.bind_group(0, {theta: 0.4})
+        bound = program.group_circuits[0].bind({theta: 0.4})
         result = controller.execute_q_run(
-            bound, shots=64, now_ps=0, host_addr=HOST_RESULT_BASE, batched=True
+            bound, shots=64, now_ps=0, host_addr=HOST_RESULT_BASE, batched=True,
+            counts=sampled_counts(bound, 64),
         )
         assert controller.barrier.pending_after(0) == result.n_batches
 
     def test_timing_only_run_skips_function(self, setup):
         config, hierarchy, controller, program, theta = setup
         result = controller.execute_q_run(
-            program.group_circuits[0],  # unbound is fine in timing mode
+            program.group_circuits[0],  # unbound: no counts, timing only
             shots=16,
             now_ps=0,
             host_addr=HOST_RESULT_BASE,
             batched=True,
-            functional=False,
         )
         assert result.counts == {}
+        assert result.shot_words == ()
         assert result.timeline.quantum_end_ps > 0
+        assert controller.barrier.pending_after(0) == result.n_batches
+        assert hierarchy.image.read_bytes(HOST_RESULT_BASE, 1) == b"\x00"
+
+    def test_counts_must_cover_every_shot(self, setup):
+        config, _, controller, program, theta = setup
+        bound = program.group_circuits[0].bind({theta: 0.4})
+        with pytest.raises(ValueError, match="expected 16"):
+            controller.execute_q_run(
+                bound, 16, 0, HOST_RESULT_BASE, batched=True,
+                counts=sampled_counts(bound, 8),
+            )
 
     def test_batched_fewer_puts_than_immediate(self, setup):
         config, _, controller, program, theta = setup
-        bound = program.bind_group(0, {theta: 0.4})
-        batched = controller.execute_q_run(bound, 64, 0, HOST_RESULT_BASE, batched=True)
-        immediate = controller.execute_q_run(bound, 64, 0, HOST_RESULT_BASE, batched=False)
+        circuit = program.group_circuits[0]
+        batched = controller.execute_q_run(circuit, 64, 0, HOST_RESULT_BASE, batched=True)
+        immediate = controller.execute_q_run(circuit, 64, 0, HOST_RESULT_BASE, batched=False)
         assert immediate.n_batches > batched.n_batches
 
 
@@ -170,8 +188,6 @@ class TestQAcquire:
 
     def test_no_program_attached_raises(self):
         config = QtenonConfig(n_qubits=2)
-        controller = QuantumController(
-            config, MemoryHierarchy(), QuantumDevice(2), Sampler(seed=0)
-        )
+        controller = QuantumController(config, MemoryHierarchy(), QuantumDevice(2))
         with pytest.raises(RuntimeError, match="no program"):
             _ = controller.program

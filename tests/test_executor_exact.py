@@ -14,7 +14,6 @@ from repro.quantum import (
     Parameter,
     QuantumCircuit,
     QuantumDevice,
-    Sampler,
     StatevectorBackend,
 )
 from repro.quantum.exact import (
@@ -35,9 +34,7 @@ from repro.vqa import h2_workload, transverse_field_ising
 @pytest.fixture
 def rig():
     config = QtenonConfig(n_qubits=2)
-    controller = QuantumController(
-        config, MemoryHierarchy(), QuantumDevice(2), Sampler(seed=0)
-    )
+    controller = QuantumController(config, MemoryHierarchy(), QuantumDevice(2))
     theta = Parameter("theta")
     circuit = QuantumCircuit(2).ry(theta, 0).cz(0, 1).measure_all()
     program = lower([transpile(circuit)], config)
@@ -51,7 +48,7 @@ class TestStreamExecutor:
     def test_full_stream_advances_time(self, rig):
         config, controller, program, theta = rig
         executor = StreamExecutor(controller)
-        executor.bind_circuit(program.bind_group(0, {theta: math.pi}))
+        executor.bind_circuit(program.group_circuits[0].bind({theta: math.pi}))
         slot = program.slots[0]
         stream = [
             QUpdate(config.regfile_qaddr(slot.index), encode_angle(math.pi)),
@@ -88,8 +85,8 @@ class TestStreamExecutor:
     def test_runs_consume_circuits_in_order(self, rig):
         config, controller, program, theta = rig
         executor = StreamExecutor(controller)
-        executor.bind_circuit(program.bind_group(0, {theta: 0.0}))   # all |00>
-        executor.bind_circuit(program.bind_group(0, {theta: math.pi}))  # q0 -> 1
+        executor.bind_circuit(program.group_circuits[0].bind({theta: 0.0}))   # all |00>
+        executor.bind_circuit(program.group_circuits[0].bind({theta: math.pi}))  # q0 -> 1
         log = executor.execute([QRun(shots=8), QRun(shots=8)])
         first, second = log.runs
         assert set(first.counts) == {0b00}

@@ -15,7 +15,13 @@ import pytest
 
 from repro import DecoupledSystem, HybridRunner, QtenonFeatures, QtenonSystem
 from repro.baseline.network import UDP_100GBE, LinkTracker
-from repro.core.scheduler import compute_run_timeline, plan_transmissions
+from repro.compiler import lower, transpile
+from repro.core import HOST_RESULT_BASE, QtenonConfig, QuantumController
+from repro.core.scheduler import (
+    compute_run_timeline,
+    plan_transmissions,
+    shot_record_bytes,
+)
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -29,7 +35,10 @@ from repro.faults import (
     checksum32,
     loss_sweep_plans,
 )
+from repro.memory import MemoryHierarchy
+from repro.quantum import QuantumDevice, Sampler
 from repro.quantum.noise import ReadoutNoise
+from repro.runtime import EvaluationEngine
 from repro.vqa import make_optimizer, qaoa_workload
 
 QUBITS = 4
@@ -336,20 +345,77 @@ class TestSystemsUnderFaults:
             seed=SEED,
             measurement=MeasurementFaults(drop_p=0.5, corrupt_p=0.25),
         )
-        faulty_system = QtenonSystem(
-            QUBITS, seed=SEED, fault_injector=FaultInjector(plan)
+        faulty = run_vqa(
+            QtenonSystem(QUBITS, seed=SEED, fault_injector=FaultInjector(plan))
         )
-        faulty = run_vqa(faulty_system)
         # Retransmitted batches deliver correct data: the optimizer
         # cannot see the faults ...
         assert faulty.cost_history == plain.cost_history
-        # ... but the modelled timeline pays for every retry, and the
-        # receiver actually rejected the corrupted deliveries.
+        # ... but the modelled timeline pays for every retry.
         assert faulty.report.extra["put_retransmits"] > 0
         assert faulty.report.end_to_end_ps > plain.report.end_to_end_ps
-        verifier = faulty_system.controller.put_verifier
+
+    def test_put_faults_nacked_by_checksum_when_data_moves(self):
+        """Given the run's counts, the controller frames every batch:
+        corrupted deliveries fail the receiver's checksum and the
+        retransmission lands the original records."""
+        plan = FaultPlan(
+            seed=SEED,
+            measurement=MeasurementFaults(drop_p=0.5, corrupt_p=0.25),
+        )
+        config = QtenonConfig(n_qubits=QUBITS)
+        hierarchy = MemoryHierarchy()
+        controller = QuantumController(
+            config, hierarchy, QuantumDevice(QUBITS),
+            fault_injector=FaultInjector(plan),
+        )
+        workload = qaoa_workload(QUBITS)
+        program = lower([transpile(workload.ansatz.copy().measure_all())], config)
+        controller.attach_program(program)
+        bound = program.group_circuits[0].bind(
+            {p: 0.3 for p in workload.parameters}
+        )
+        shots = 300
+        counts = Sampler(seed=SEED).run(bound, shots).counts
+        result = controller.execute_q_run(
+            bound, shots, 0, HOST_RESULT_BASE, batched=True, counts=counts
+        )
+        verifier = controller.put_verifier
         assert verifier.checksum_nacks > 0
-        assert verifier.accepted > 0
+        assert verifier.accepted == result.n_batches
+        retransmits = controller.stats.counter("put_retransmits").value
+        assert retransmits >= verifier.checksum_nacks
+        record = shot_record_bytes(QUBITS)
+        first = hierarchy.image.read_bytes(HOST_RESULT_BASE, record)
+        assert int.from_bytes(first, "little") == result.shot_words[0]
+
+    def test_engine_counts_the_retransmits_its_replays_pay_for(self):
+        """The engine replays the platform timing-only; the retransmits
+        that timeline pays for are counted there too."""
+        plan = FaultPlan(
+            seed=SEED,
+            measurement=MeasurementFaults(drop_p=0.5, corrupt_p=0.25),
+        )
+
+        def run(wrap):
+            platform = QtenonSystem(QUBITS, seed=5, fault_injector=FaultInjector(plan))
+            if wrap:
+                platform = EvaluationEngine(platform, seed=5)
+            workload = qaoa_workload(QUBITS)
+            return HybridRunner(
+                platform, workload.ansatz, workload.parameters,
+                workload.observable, make_optimizer("spsa", seed=5),
+                shots=300, iterations=2,
+            ).run(seed=5)
+
+        bare, wrapped = run(False), run(True)
+        assert wrapped.report.extra["put_retransmits"] > 0
+        assert (
+            wrapped.report.extra["put_retransmits"]
+            == bare.report.extra["put_retransmits"]
+        )
+        assert wrapped.report.end_to_end_ps == bare.report.end_to_end_ps
+        assert wrapped.cost_history == bare.cost_history
 
     def test_stuck_acquire_recovered_by_watchdog(self):
         # q_acquire is the FENCE path: only without fine-grained sync.

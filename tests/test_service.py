@@ -28,6 +28,7 @@ from repro.analysis.breakdown import ExecutionReport
 from repro.service import (
     AdmissionController,
     DeficitRoundRobin,
+    JobCancelled,
     JobService,
     JobSpec,
     JobState,
@@ -37,7 +38,7 @@ from repro.service import (
     jain_index,
 )
 from repro.service.jobs import JobRecord, make_job_id
-from repro.service.service import WORKLOADS
+from repro.service.service import WORKLOADS, _CancellablePlatform
 from repro.vqa import make_optimizer
 
 
@@ -277,6 +278,33 @@ class TestServiceLifecycle:
         assert snapshot["service"]["service.jobs_done"] == 4
         assert snapshot["jobs_by_state"] == {"done": 4}
         assert snapshot["latency_s"]["count"] == 4
+
+    def test_jobs_reach_the_vector_entry_point(self):
+        batches = []
+
+        class VectorPlatform(FakePlatform):
+            def evaluate_vectors(self, parameters, vectors, shots):
+                batches.append(len(vectors))
+                return [-1.0] * len(vectors)
+
+        service = JobService(
+            ServiceConfig(workers=1, cache_entries=0),
+            platform_factory=lambda spec: VectorPlatform(),
+        )
+        outcomes = run_service(service, [("a", spec_for(0, iterations=2))])
+        assert service.status(outcomes[0].job_id).state is JobState.DONE
+        # SPSA: one two-probe gradient batch per iteration.
+        assert batches.count(2) == 2
+
+    def test_cancel_is_checked_once_per_vector_batch(self):
+        cancel = threading.Event()
+        platform = _CancellablePlatform(FakePlatform(), cancel)
+        theta = object()
+        vectors = [np.zeros(1)] * 3
+        assert platform.evaluate_vectors([theta], vectors, 10) == [-1.0] * 3
+        cancel.set()
+        with pytest.raises(JobCancelled):
+            platform.evaluate_vectors([theta], vectors, 10)
 
     def test_over_quota_is_structured_rejection_not_exception(self):
         service = JobService(
