@@ -645,12 +645,7 @@ def cmd_serve(args) -> int:
         timing_only=args.timing_only,
         sim_trace=args.merged_trace_out is not None,
     )
-    telemetry = None
-    if args.prom_out is not None:
-        from repro.telemetry import MetricsRegistry
-
-        telemetry = MetricsRegistry()
-    api = ServiceAPI(config, telemetry=telemetry)
+    api = ServiceAPI(config)
     batch = api.run_batch(submissions)
 
     for (tenant, _spec), outcome in zip(submissions, batch.outcomes):
@@ -806,18 +801,14 @@ def cmd_telemetry(args) -> int:
     from repro.service.service import JobService
     from repro.telemetry import (
         EventLog,
-        MetricsRegistry,
         StepClock,
         parse_prometheus_text,
         to_prometheus_text,
     )
 
-    registry = MetricsRegistry()
     events = EventLog(sample_every=args.sample_every)
     config = ServiceConfig(workers=1, sim_trace=True)
-    service = JobService(
-        config, clock=StepClock(), telemetry=registry, events=events
-    )
+    service = JobService(config, clock=StepClock(), events=events)
     api = ServiceAPI(service=service)
     submissions = []
     for index in range(args.jobs):
@@ -834,7 +825,7 @@ def cmd_telemetry(args) -> int:
         submissions.append((f"tenant{index % 2}", spec))
     batch = api.run_batch(submissions)
 
-    text = to_prometheus_text(registry)
+    text = to_prometheus_text(service.telemetry)
     families = parse_prometheus_text(text)  # self-check the exposition
     print(
         f"{batch.accepted} accepted / {batch.rejected} rejected; "

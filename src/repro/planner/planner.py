@@ -38,7 +38,7 @@ Decisions are deterministic: same census + width + limit => same
 :class:`PlanDecision` (ties break lexicographically), which is what
 keeps :class:`~repro.runtime.cache.EvalCache` keys stable.  Every
 decision increments the process-wide :data:`PLANNER_STATS` counters
-(exported via :mod:`repro.telemetry.bridge`).
+(exported by every registry an engine or service publishes into).
 """
 
 from __future__ import annotations
@@ -253,7 +253,8 @@ def _stat_safe(name: str) -> str:
     """Counter-name-safe form of an arbitrary (possibly forced) backend
     string."""
     return "".join(
-        ch if ch.isalnum() or ch == "_" else "_" for ch in name.lower()
+        ch if (ch.isascii() and ch.isalnum()) or ch == "_" else "_"
+        for ch in name.lower()
     )
 
 

@@ -57,7 +57,7 @@ from repro.quantum.kernels import (
 from repro.quantum.pauli import PauliSum
 from repro.sim.stats import StatGroup
 
-#: Telemetry-visible adjoint counters (see repro.telemetry.bridge).
+#: Telemetry-visible adjoint counters (exported by an engine's registry).
 ADJOINT_STATS = StatGroup("adjoint")
 _FORWARD_PASSES = ADJOINT_STATS.counter("forward_passes")
 _REVERSE_SWEEPS = ADJOINT_STATS.counter("reverse_sweeps")

@@ -42,7 +42,7 @@ from repro.quantum.gates import GateSpec
 from repro.quantum.parameters import Parameter, ParameterExpression
 from repro.sim.stats import StatGroup
 
-#: Telemetry-visible kernel counters (see repro.telemetry.bridge).
+#: Telemetry-visible kernel counters (exported through :func:`kernel_stats`).
 KERNEL_STATS = StatGroup("kernels")
 _PROGRAMS_COMPILED = KERNEL_STATS.counter("programs_compiled")
 _PROGRAM_CACHE_HITS = KERNEL_STATS.counter("program_cache_hits")
@@ -860,3 +860,13 @@ class ReplayCache:
 
 #: Process-wide program cache shared by samplers/backends.
 PROGRAM_CACHE = ReplayCache()
+
+
+def kernel_stats() -> Dict[str, float]:
+    """Kernel and replay-cache counters of this process, plus the number
+    of resident programs: what a pool worker reports on every batch
+    reply and what an engine's registry exports."""
+    out = KERNEL_STATS.as_dict()
+    out.update(PROGRAM_CACHE.stats.as_dict())
+    out["replay_cache.programs"] = len(PROGRAM_CACHE)
+    return out

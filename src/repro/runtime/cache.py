@@ -26,7 +26,8 @@ what makes reuse *exact* rather than statistical.  Anything outside the
 key (different shots, different seed, a mutated circuit) misses.
 
 Bounded LRU; hit/miss/eviction counters report through the standard
-:class:`repro.sim.stats.StatGroup` machinery.
+:class:`repro.sim.stats.StatGroup` machinery, and :meth:`EvalCache.as_dict`
+adds the derived hit rate.
 """
 
 from __future__ import annotations
@@ -152,16 +153,12 @@ def evaluation_keys(
 class EvalCache:
     """Bounded LRU mapping :class:`EvalKey` → evaluation result."""
 
-    def __init__(
-        self,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        stats: Optional[StatGroup] = None,
-    ) -> None:
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         if max_entries <= 0:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         self.max_entries = max_entries
         self._entries: "OrderedDict[bytes, float]" = OrderedDict()
-        self.stats = stats or StatGroup("eval_cache")
+        self.stats = StatGroup("eval_cache")
         self._hits = self.stats.counter("hits")
         self._misses = self.stats.counter("misses")
         self._evictions = self.stats.counter("evictions")
@@ -207,6 +204,13 @@ class EvalCache:
     def hit_rate(self) -> float:
         total = self._hits.value + self._misses.value
         return self._hits.value / total if total else 0.0
+
+    def as_dict(self) -> Dict[str, float]:
+        """The cache's counters plus its hit rate: the view an engine's
+        report, a service's snapshot and a registry all export."""
+        out = self.stats.as_dict()
+        out["eval_cache.hit_rate"] = self.hit_rate
+        return out
 
     def clear(self) -> None:
         self._entries.clear()

@@ -65,16 +65,27 @@ from repro.faults.plan import InjectedWorkerCrash, InjectedWorkerHang
 from repro.quantum.circuit import QuantumCircuit
 from repro.planner import (
     DEFAULT_PLANNER,
+    PLANNER_STATS,
     PlanDecision,
     derive_backend_id,
     supports_adjoint,
 )
-from repro.quantum.adjoint import adjoint_gradient_batch, supports_program
-from repro.quantum.kernels import PROGRAM_CACHE, CompiledProgram, gate_census
+from repro.quantum.adjoint import (
+    ADJOINT_STATS,
+    adjoint_gradient_batch,
+    supports_program,
+)
+from repro.quantum.kernels import (
+    PROGRAM_CACHE,
+    CompiledProgram,
+    gate_census,
+    kernel_stats,
+)
 from repro.quantum.noise import ReadoutNoise
 from repro.quantum.parameters import Parameter
 from repro.quantum.pauli import MeasurementGroup, PauliSum
 from repro.quantum.sampler import DEFAULT_EXACT_LIMIT, Sampler
+from repro.quantum.stabilizer import STABILIZER_STATS
 from repro.quantum.statevector import StatevectorBackend
 from repro.runtime.breaker import CircuitBreaker
 from repro.runtime.cache import (
@@ -457,7 +468,7 @@ class EvaluationEngine:
         self._pool: Optional[SharedMemoryPool] = None
         self._pool_payload: Optional[bytes] = None
         #: latest per-worker counter snapshot (piggybacked on batch
-        #: replies), surfaced through finish()/register_engine.
+        #: replies), surfaced through finish()/attach_telemetry.
         self._worker_stat_snapshot: Dict[str, float] = {}
         #: batch digest -> number of timing replays already charged by
         #: a failed attempt of that same batch (idempotent retry).
@@ -470,11 +481,34 @@ class EvaluationEngine:
     # platform protocol
     # ------------------------------------------------------------------
     def attach_telemetry(self, registry) -> None:
-        """Publish this engine's stats (and its breaker/cache/injector)
-        into a :class:`~repro.telemetry.metrics.MetricsRegistry`."""
-        from repro.telemetry.bridge import register_engine
+        """Publish this engine's counters into a
+        :class:`~repro.telemetry.metrics.MetricsRegistry`: the
+        :meth:`finish` view (runtime, breaker, fault-injector and cache
+        groups, the worker snapshot) plus the process-wide kernel,
+        adjoint, planner and stabilizer groups its evaluations drive."""
+        for source in self._stat_sources():
+            registry.register_collector(source.as_dict)
+        registry.register_collector(self._worker_stats)
+        registry.register_collector(kernel_stats)
+        registry.register_collector(ADJOINT_STATS.as_dict)
+        registry.register_collector(PLANNER_STATS.as_dict)
+        registry.register_collector(STABILIZER_STATS.as_dict)
 
-        register_engine(registry, self)
+    def _stat_sources(self) -> list:
+        """Every object whose ``as_dict`` joins :meth:`finish`'s extras."""
+        sources = [self.stats, self.breaker.stats]
+        if self.fault_injector is not None:
+            sources.append(self.fault_injector.stats)
+        if self.cache is not None:
+            sources.append(self.cache)
+        return sources
+
+    def _worker_stats(self) -> Dict[str, float]:
+        """Worker-side counters summed across the pool: live while the
+        pool runs, its last snapshot after teardown."""
+        if self._pool is not None and not self._pool.closed:
+            self._worker_stat_snapshot = self._pool.worker_stats()
+        return self._worker_stat_snapshot
 
     def _trace_span(self, name: str, start_ps, args=None) -> None:
         """Record one sim-time evaluation span if tracing is on and the
@@ -848,20 +882,10 @@ class EvaluationEngine:
 
     def finish(self) -> ExecutionReport:
         report = self.platform.finish()
-        for name, value in self.stats.as_dict().items():
-            report.extra[name] = float(value)
-        for name, value in self.breaker.stats.as_dict().items():
-            report.extra[name] = float(value)
-        if self.fault_injector is not None:
-            for name, value in self.fault_injector.stats.as_dict().items():
+        for source in self._stat_sources():
+            for name, value in source.as_dict().items():
                 report.extra[name] = float(value)
-        if self.cache is not None:
-            for name, value in self.cache.stats.as_dict().items():
-                report.extra[name] = float(value)
-            report.extra["eval_cache.hit_rate"] = self.cache.hit_rate
-        if self._pool is not None and not self._pool.closed:
-            self._worker_stat_snapshot = self._pool.worker_stats()
-        for name, value in self._worker_stat_snapshot.items():
+        for name, value in self._worker_stats().items():
             report.extra[name] = float(value)
         self.close()
         return report

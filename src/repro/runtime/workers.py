@@ -45,7 +45,7 @@ counters on every batch reply; the parent aggregates the latest
 snapshot per worker so worker-side cache behaviour (bounded by the
 same LRU budget as the parent, see
 :meth:`repro.quantum.kernels.ReplayCache.adopt`) is observable through
-``register_engine``.
+:meth:`repro.runtime.engine.EvaluationEngine.attach_telemetry`.
 """
 
 from __future__ import annotations
@@ -480,16 +480,9 @@ class SharedMemoryPool:
 # ----------------------------------------------------------------------
 def _stats_snapshot() -> Dict[str, float]:
     """Kernel + replay-cache counters of *this* worker process."""
-    from repro.quantum.kernels import KERNEL_STATS, PROGRAM_CACHE
+    from repro.quantum.kernels import kernel_stats
 
-    out = {
-        f"workers.{name}": float(value)
-        for name, value in KERNEL_STATS.as_dict().items()
-    }
-    for name, value in PROGRAM_CACHE.stats.as_dict().items():
-        out[f"workers.{name}"] = float(value)
-    out["workers.replay_cache.programs"] = float(len(PROGRAM_CACHE))
-    return out
+    return {f"workers.{name}": float(value) for name, value in kernel_stats().items()}
 
 
 def _adopt_spec(spec, replay_budget: int):

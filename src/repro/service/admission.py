@@ -37,7 +37,6 @@ class AdmissionController:
         max_open_jobs: int = DEFAULT_MAX_OPEN_JOBS,
         tenant_quota: int = DEFAULT_TENANT_QUOTA,
         per_tenant_quotas: Optional[Dict[str, int]] = None,
-        stats: Optional[StatGroup] = None,
     ) -> None:
         if max_open_jobs <= 0:
             raise ValueError(f"max_open_jobs must be positive, got {max_open_jobs}")
@@ -46,7 +45,7 @@ class AdmissionController:
         self.max_open_jobs = max_open_jobs
         self.tenant_quota = tenant_quota
         self.per_tenant_quotas = dict(per_tenant_quotas or {})
-        self.stats = stats or StatGroup("admission")
+        self.stats = StatGroup("admission")
         self._open_by_tenant: Dict[str, int] = {}
         self._open_total = 0
 

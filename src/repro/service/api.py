@@ -99,12 +99,7 @@ class ServiceAPI:
         self.service.export_merged_trace(path)
 
     def prometheus_text(self) -> str:
-        """The attached registry's Prometheus text exposition."""
-        if self.service.telemetry is None:
-            raise RuntimeError(
-                "service has no telemetry registry; construct ServiceAPI "
-                "with telemetry=MetricsRegistry()"
-            )
+        """The service registry's Prometheus text exposition."""
         from repro.telemetry.export import to_prometheus_text
 
         return to_prometheus_text(self.service.telemetry)

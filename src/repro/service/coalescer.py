@@ -31,16 +31,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.service.jobs import JobRecord
-from repro.sim.stats import StatGroup
 
 
 class RequestCoalescer:
     """Singleflight table: digest → primary + followers in flight."""
 
-    def __init__(self, stats: Optional[StatGroup] = None) -> None:
+    def __init__(self) -> None:
         self._primaries: Dict[str, JobRecord] = {}
         self._followers: Dict[str, List[JobRecord]] = {}
-        self.stats = stats or StatGroup("coalescer")
 
     # ------------------------------------------------------------------
     def attach(self, record: JobRecord) -> Optional[JobRecord]:
@@ -57,7 +55,6 @@ class RequestCoalescer:
             return None
         self._followers[digest].append(record)
         record.coalesced_with = primary.job_id
-        self.stats.counter("coalesced_jobs").increment()
         return primary
 
     def followers_of(self, record: JobRecord) -> List[JobRecord]:

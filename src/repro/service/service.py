@@ -53,6 +53,8 @@ from typing import Callable, Dict, List, Optional
 from repro.analysis.breakdown import CATEGORIES
 from repro.analysis.trace import TraceRecorder
 from repro.faults.plan import InjectedWorkerCrash, InjectedWorkerHang
+from repro.planner import PLANNER_STATS
+from repro.quantum.stabilizer import STABILIZER_STATS
 from repro.runtime.cache import EvalCache
 from repro.runtime.engine import EvaluationEngine
 from repro.service.health import HealthRegistry
@@ -84,7 +86,7 @@ from repro.telemetry.metrics import (
     DEFAULT_LATENCY_BUCKETS_S,
     DEFAULT_TIME_BUCKETS_PS,
     MetricsRegistry,
-    nearest_rank_quantile,
+    metric_key,
 )
 from repro.telemetry.tracing import (
     TraceGroup,
@@ -303,36 +305,36 @@ class JobService:
             events=events,
         )
 
-        # -- telemetry (optional; zero cost when absent) ----------------
-        self.telemetry = telemetry
+        # -- telemetry: every number below exports through this registry
+        self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
         self.events = events
-        self._latency_hist = None
-        self._sim_e2e_hist = None
-        self._sim_counters: Dict[str, object] = {}
-        if telemetry is not None:
-            from repro.telemetry.bridge import register_service
-
-            register_service(telemetry, self)
-            self._latency_hist = telemetry.histogram(
-                "service.job.latency_s",
-                DEFAULT_LATENCY_BUCKETS_S,
-                help="wall-clock submit-to-settle latency per job",
+        for group in (self.stats, self.admission.stats, self.sessions.stats):
+            self.telemetry.register_collector(group.as_dict)
+        if self.cache is not None:
+            self.telemetry.register_collector(self.cache.as_dict)
+        self.telemetry.register_collector(PLANNER_STATS.as_dict)
+        self.telemetry.register_collector(STABILIZER_STATS.as_dict)
+        self.telemetry.register_collector(self._derived_metrics)
+        self._latency_hist = self.telemetry.histogram(
+            "service.job.latency_s",
+            DEFAULT_LATENCY_BUCKETS_S,
+            help="wall-clock submit-to-settle latency per job",
+        )
+        self._sim_e2e_hist = self.telemetry.histogram(
+            "service.job.sim_end_to_end_ps",
+            DEFAULT_TIME_BUCKETS_PS,
+            help="modelled end-to-end time per completed job",
+        )
+        # One counter per paper breakdown category (Fig. 13):
+        # service.sim.quantum_ps / pulse_gen_ps / host_compute_ps /
+        # comm_ps — accumulated modelled time across completed jobs.
+        self._sim_counters = {
+            category: self.telemetry.counter(
+                f"service.sim.{category}_ps",
+                help=f"modelled {category} time across completed jobs",
             )
-            self._sim_e2e_hist = telemetry.histogram(
-                "service.job.sim_end_to_end_ps",
-                DEFAULT_TIME_BUCKETS_PS,
-                help="modelled end-to-end time per completed job",
-            )
-            # One counter per paper breakdown category (Fig. 13):
-            # service.sim.quantum_ps / pulse_gen_ps / host_compute_ps /
-            # comm_ps — accumulated modelled time across completed jobs.
-            self._sim_counters = {
-                category: telemetry.counter(
-                    f"service.sim.{category}_ps",
-                    help=f"modelled {category} time across completed jobs",
-                )
-                for category in CATEGORIES
-            }
+            for category in CATEGORIES
+        }
 
     # ------------------------------------------------------------------
     # client surface (event-loop thread only)
@@ -801,18 +803,14 @@ class JobService:
         error: Optional[str] = None,
     ) -> None:
         followers = self.coalescer.settle(record)
-        if (
-            state is JobState.DONE
-            and result is not None
-            and self.telemetry is not None
-        ):
+        if state is JobState.DONE and result is not None:
             # Push modelled-time metrics once per *computation* (the
             # primary); followers share the result and must not double
             # the sim-time totals.
             report = result.report
             self._sim_e2e_hist.observe(float(report.end_to_end_ps))
             for category, counter in self._sim_counters.items():
-                counter.inc(int(report.breakdown.get(category)))
+                counter.increment(int(report.breakdown.get(category)))
         self._settle_one(record, state, result=result, error=error)
         if state in _PROPAGATED:
             for follower in followers:
@@ -833,9 +831,7 @@ class JobService:
         record.finished_s = self._clock()
         self.stats.counter(f"jobs_{state.value}").increment()
         if record.latency_s is not None:
-            self.stats.accumulator("latency_s").observe(record.latency_s)
-            if self._latency_hist is not None:
-                self._latency_hist.observe(record.latency_s)
+            self._latency_hist.observe(record.latency_s)
         if self.events is not None:
             self.events.emit(
                 "job_settled",
@@ -942,52 +938,56 @@ class JobService:
         with open(path, "w") as handle:
             handle.write(self.merged_chrome_trace())
 
+    def _scheduler_snapshot(self) -> Dict[str, object]:
+        served = self.scheduler.fairness_snapshot()
+        return {
+            "backlog": len(self.scheduler),
+            "served_cost_by_tenant": served,
+            "fairness_jain": jain_index(list(served.values())),
+        }
+
+    def _derived_metrics(self) -> Dict[str, float]:
+        """Registry collector for the values the snapshot derives:
+        scheduler backlog/fairness/served cost, open sessions, pinned
+        programs and backend health."""
+        scheduler = self._scheduler_snapshot()
+        sessions = self.sessions.snapshot()
+        out = {
+            "service.scheduler.backlog": scheduler["backlog"],
+            "service.scheduler.fairness_jain": scheduler["fairness_jain"],
+            "sessions.open": sessions["open"],
+            "sessions.pinned_programs": sessions["pinned_programs"],
+        }
+        for tenant, cost in scheduler["served_cost_by_tenant"].items():
+            out[metric_key(tenant, "service.scheduler.served_cost")] = cost
+        for backend, health in self.health.snapshot().items():
+            base = metric_key(backend, "service.backend")
+            for key, value in health.items():
+                if isinstance(value, (int, float)):  # last_error stays out
+                    out[f"{base}.{key}"] = value
+        return out
+
     def metrics_snapshot(self) -> Dict[str, object]:
         """JSON-able service metrics (the ``metrics`` API payload)."""
-        latencies = sorted(
-            record.latency_s
-            for record in self.records.values()
-            if record.latency_s is not None
-        )
         jobs_by_state: Dict[str, int] = {}
         for record in self.records.values():
             jobs_by_state[record.state.value] = (
                 jobs_by_state.get(record.state.value, 0) + 1
             )
-        served = self.scheduler.fairness_snapshot()
+        latency = self._latency_hist
         snapshot: Dict[str, object] = {
             "service": self.stats.as_dict(),
             "admission": self.admission.stats.as_dict(),
-            "coalescer": self.coalescer.stats.as_dict(),
-            "scheduler": {
-                "backlog": len(self.scheduler),
-                "served_cost_by_tenant": served,
-                "fairness_jain": jain_index(list(served.values())),
-            },
+            "scheduler": self._scheduler_snapshot(),
             "jobs_by_state": jobs_by_state,
             "sessions": self.sessions.snapshot(),
             "backends": self.health.snapshot(),
             "latency_s": {
-                "count": len(latencies),
-                "p50": _quantile(latencies, 0.50),
-                "p95": _quantile(latencies, 0.95),
-                "p99": _quantile(latencies, 0.99),
-                "mean": sum(latencies) / len(latencies) if latencies else 0.0,
+                "count": latency.count,
+                **latency.percentiles(),
+                "mean": latency.mean,
             },
         }
         if self.cache is not None:
-            cache_stats = dict(self.cache.stats.as_dict())
-            cache_stats["eval_cache.hit_rate"] = self.cache.hit_rate
-            snapshot["eval_cache"] = cache_stats
+            snapshot["eval_cache"] = self.cache.as_dict()
         return snapshot
-
-
-def _quantile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank quantile of an ascending list (0.0 when empty).
-
-    Delegates to the telemetry layer's ceil-based nearest rank.  The
-    old ``round(q * n) - 1`` rank used banker's rounding, which is
-    biased low on half-ranks: p50 of five samples returned the 2nd
-    value, not the 3rd (the median).
-    """
-    return nearest_rank_quantile(sorted_values, q)

@@ -17,7 +17,7 @@ from repro.sim.kernel import (
     to_us,
     us,
 )
-from repro.sim.stats import Accumulator, Counter, StatGroup, TimeBucket
+from repro.sim.stats import Accumulator, StatGroup
 
 __all__ = [
     "Clock",
@@ -39,8 +39,6 @@ __all__ = [
     "PS_PER_US",
     "PS_PER_MS",
     "PS_PER_S",
-    "Counter",
     "Accumulator",
-    "TimeBucket",
     "StatGroup",
 ]

@@ -5,10 +5,10 @@ One registry for every subsystem's counters/gauges/histograms
 ``job_id → evaluation → sim phase`` chain across the service, runtime
 and sim layers (:mod:`repro.telemetry.tracing`), and deterministic
 exporters — Prometheus text exposition, merged Chrome/Perfetto trace,
-JSONL event log (:mod:`repro.telemetry.export`).  The
-:mod:`repro.telemetry.bridge` collectors pull the pre-existing
-:class:`~repro.sim.stats.StatGroup` silos into the registry with zero
-hot-path overhead (gated < 5% by ``benchmarks/bench_telemetry.py``).
+JSONL event log (:mod:`repro.telemetry.export`).  Each owner of a
+:class:`~repro.sim.stats.StatGroup` publishes it with
+``registry.register_collector(group.as_dict)``: zero hot-path overhead
+(gated < 5% by ``benchmarks/bench_telemetry.py``).
 
 Quick start::
 
@@ -23,16 +23,6 @@ or from the CLI: ``python -m repro telemetry --prom out.txt
 --trace trace.json --events events.jsonl``.
 """
 
-from repro.telemetry.bridge import (
-    metric_key,
-    register_engine,
-    register_eval_cache,
-    register_fault_injector,
-    register_health,
-    register_planner,
-    register_service,
-    register_stat_group,
-)
 from repro.telemetry.export import (
     EventLog,
     parse_prometheus_text,
@@ -48,9 +38,8 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
     StepClock,
-    get_registry,
+    metric_key,
     nearest_rank_quantile,
-    set_registry,
 )
 from repro.telemetry.tracing import (
     TraceGroup,
@@ -73,20 +62,11 @@ __all__ = [
     "TraceGroup",
     "TraceSpan",
     "Tracer",
-    "get_registry",
     "make_trace_id",
     "merged_chrome_trace",
     "metric_key",
     "nearest_rank_quantile",
     "parse_prometheus_text",
     "prometheus_name",
-    "register_engine",
-    "register_eval_cache",
-    "register_fault_injector",
-    "register_health",
-    "register_planner",
-    "register_service",
-    "register_stat_group",
-    "set_registry",
     "to_prometheus_text",
 ]

@@ -1,15 +1,14 @@
-"""Process-wide metrics registry: counters, gauges, histograms.
+"""Metrics registry: counters, gauges, histograms and pull collectors.
 
 The paper's whole evaluation is observability — per-phase latency
 breakdowns (Fig. 13), cache and PGU occupancy counters, end-to-end
 timelines — and production hybrid platforms expose exactly this kind
-of cross-layer telemetry (Karalekas et al. 2020).  Before this module
-the repo had three instrumentation silos (``sim.stats.StatGroup``,
-``analysis.trace.TraceRecorder``, ad-hoc service snapshots) with no
-shared registry and no histograms.  :class:`MetricsRegistry` is the
-single namespace they all publish into, under stable dotted names:
+of cross-layer telemetry (Karalekas et al. 2020).  A
+:class:`MetricsRegistry` is the one namespace every number is exported
+from, under stable dotted names:
 
-* :class:`Counter` — monotonically increasing integer counts;
+* :class:`Counter` — monotonically increasing integer counts (also the
+  counter every :class:`~repro.sim.stats.StatGroup` hands out);
 * :class:`Gauge` — last-write-wins floats (backlog depth, hit rate);
 * :class:`Histogram` — deterministic fixed-bucket distribution that
   also keeps the raw samples, so p50/p95/p99 are *exact* (ceil-based
@@ -20,9 +19,9 @@ kind: asking for an existing name with the same kind returns the same
 instrument; asking with a different kind (or different histogram
 buckets) raises — which is what keeps dashboards stable across PRs.
 
-Existing :class:`~repro.sim.stats.StatGroup` instrumentation joins the
-registry pull-style through :mod:`repro.telemetry.bridge` collectors,
-so the hot paths pay nothing for telemetry until an export is taken.
+Components that count through a :class:`~repro.sim.stats.StatGroup`
+publish it pull-style — ``registry.register_collector(group.as_dict)``
+— so the hot paths pay nothing for telemetry until an export is taken.
 """
 
 from __future__ import annotations
@@ -32,10 +31,13 @@ import numbers
 import re
 import threading
 from bisect import bisect_left
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 #: Stable dotted metric names: lowercase segments of [a-z0-9_].
 METRIC_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$")
+
+#: Characters a :func:`metric_key` segment keeps as they are.
+_PLAIN_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
 
 #: Default latency buckets (seconds) — service job latencies.
 DEFAULT_LATENCY_BUCKETS_S = (
@@ -63,22 +65,26 @@ def nearest_rank_quantile(sorted_values: Sequence[float], q: float) -> float:
     return float(sorted_values[index])
 
 
-def _integral(by: object, what: str) -> int:
-    """Validate an integral count — mirrors the sim kernel's delay
-    typing: numpy integers pass, ``bool`` (a subclass of ``int``) and
-    floats do not, so ``increment(True)`` can't silently count as 1."""
-    if isinstance(by, bool) or not isinstance(by, numbers.Integral):
-        raise TypeError(
-            f"{what} must be an integral count, got {by!r} ({type(by).__name__})"
-        )
-    return int(by)
-
-
 def _finite(value: object, what: str) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{what} rejects non-finite sample {value!r}")
     return value
+
+
+def metric_key(raw: str, prefix: str) -> str:
+    """``prefix`` plus one segment naming a user-supplied string.
+
+    Tenant and backend names arrive from outside the program, so the
+    segment encoding is injective: ``[a-z0-9]`` characters stay as they
+    are and every other character becomes ``_<hex code point>_`` —
+    ``team-a`` and ``team_a`` export as two series, not one.
+    """
+    segment = "".join(
+        char if char in _PLAIN_CHARS else f"_{ord(char):x}_"
+        for char in raw
+    )
+    return f"{prefix}.{segment or '_'}"
 
 
 class Counter:
@@ -91,11 +97,25 @@ class Counter:
         self.help = help
         self.value = 0
 
-    def inc(self, by: int = 1) -> None:
-        by = _integral(by, f"counter {self.name!r} increment")
+    def increment(self, by: int = 1) -> None:
+        # Exact-int fast path first: the sim components increment on
+        # every SLT/pipeline entry, and the Integral check costs ~10x.
+        if type(by) is not int:
+            # Mirrors the sim kernel's delay typing: numpy integers
+            # pass; bool (an int subclass) and floats do not, so
+            # increment(True) can't silently count as 1.
+            if isinstance(by, bool) or not isinstance(by, numbers.Integral):
+                raise TypeError(
+                    f"counter {self.name!r} increment must be an integral "
+                    f"count, got {by!r} ({type(by).__name__})"
+                )
+            by = int(by)
         if by < 0:
             raise ValueError(f"counter {self.name!r} only moves forward, got {by}")
         self.value += by
+
+    def reset(self) -> None:
+        self.value = 0
 
 
 class Gauge:
@@ -193,8 +213,8 @@ class MetricsRegistry:
     different kind — or a histogram with different buckets — raises.
     Collectors registered via :meth:`register_collector` contribute
     read-only values at collection time (exported as gauges), which is
-    how the existing :class:`~repro.sim.stats.StatGroup` silos publish
-    without any hot-path cost.
+    how :class:`~repro.sim.stats.StatGroup` counters publish without
+    any hot-path cost.
     """
 
     def __init__(self, namespace: str = "repro") -> None:
@@ -258,9 +278,16 @@ class MetricsRegistry:
     def register_collector(
         self, collect: Callable[[], Mapping[str, float]]
     ) -> None:
-        """Add a pull source; called once per :meth:`collect_external`."""
+        """Add a pull source; called once per :meth:`collect_external`.
+
+        A collector equal to one already held is ignored (bound methods
+        of one object compare equal), so owners sharing a process-wide
+        group — an engine and a service both publish the planner's —
+        count it once.
+        """
         with self._lock:
-            self._collectors.append(collect)
+            if collect not in self._collectors:
+                self._collectors.append(collect)
 
     def collect_external(self) -> Dict[str, float]:
         """Merged collector output (duplicate names sum, like counters
@@ -270,6 +297,8 @@ class MetricsRegistry:
             collectors = list(self._collectors)
         for collect in collectors:
             for name, value in collect().items():
+                if name not in merged and not METRIC_NAME_RE.match(name):
+                    raise ValueError(f"collector exported invalid name {name!r}")
                 merged[name] = merged.get(name, 0.0) + float(value)
         return merged
 
@@ -313,28 +342,6 @@ class MetricsRegistry:
                 )
             out[name] = {"type": "gauge", "value": value}
         return out
-
-
-# ----------------------------------------------------------------------
-#: The process-wide default registry components fall back to.
-_DEFAULT: Optional[MetricsRegistry] = None
-_DEFAULT_LOCK = threading.Lock()
-
-
-def get_registry() -> MetricsRegistry:
-    """The lazily created process-wide registry."""
-    global _DEFAULT
-    with _DEFAULT_LOCK:
-        if _DEFAULT is None:
-            _DEFAULT = MetricsRegistry()
-        return _DEFAULT
-
-
-def set_registry(registry: Optional[MetricsRegistry]) -> None:
-    """Swap (or with ``None`` reset) the process-wide registry — tests."""
-    global _DEFAULT
-    with _DEFAULT_LOCK:
-        _DEFAULT = registry
 
 
 class StepClock:

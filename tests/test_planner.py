@@ -359,6 +359,16 @@ class TestEndToEnd:
         assert "repro_planner_chosen_stabilizer" in text
         assert "repro_stabilizer_tableau_runs" in text
 
+    def test_non_ascii_forced_backend_keeps_exported_names_valid(self):
+        from repro.telemetry import MetricsRegistry
+
+        ExecutionPlanner().decide(
+            4, [gate_census(ghz_circuit(4))], 16, force_backend="Stäbilizer"
+        )
+        registry = MetricsRegistry()
+        registry.register_collector(PLANNER_STATS.as_dict)
+        assert "planner.chosen_st_bilizer" in registry.collect_external()
+
     def test_forced_backend_is_part_of_the_job_digest(self):
         from repro.service import JobSpec
 

@@ -544,7 +544,6 @@ class TestCoalescingInService:
         assert len(followers) == 2
         snapshot = service.metrics_snapshot()
         assert snapshot["service"]["service.coalesced"] == 2
-        assert snapshot["coalescer"]["coalescer.coalesced_jobs"] == 2
 
     def test_cancelled_follower_leaves_primary_alone(self):
         service = JobService(

@@ -6,15 +6,14 @@ from repro.sim import (
     Accumulator,
     BusyResource,
     Clock,
-    Counter,
     DAC_CLOCK,
     HOST_CLOCK,
     QCC_SRAM_CLOCK,
     Simulator,
     StatGroup,
-    TimeBucket,
     ns,
 )
+from repro.telemetry import Counter
 
 
 class TestClock:
@@ -82,7 +81,8 @@ class TestCounter:
         assert counter.value == 3
 
     def test_reset(self):
-        counter = Counter("x", value=3)
+        counter = Counter("x")
+        counter.increment(3)
         counter.reset()
         assert counter.value == 0
 
@@ -109,30 +109,6 @@ class TestAccumulator:
         assert acc.count == 0
 
 
-class TestTimeBucket:
-    def test_fractions(self):
-        bucket = TimeBucket("breakdown")
-        bucket.add("quantum", 90)
-        bucket.add("comm", 10)
-        assert bucket.total == 100
-        assert bucket.fraction("quantum") == pytest.approx(0.9)
-        assert bucket.fraction("missing") == 0.0
-
-    def test_negative_duration_raises(self):
-        with pytest.raises(ValueError):
-            TimeBucket("x").add("quantum", -1)
-
-    def test_merge(self):
-        a = TimeBucket("a")
-        a.add("quantum", 5)
-        b = TimeBucket("b")
-        b.add("quantum", 7)
-        b.add("comm", 1)
-        merged = a.merged_with(b)
-        assert merged.get("quantum") == 12
-        assert merged.get("comm") == 1
-
-
 class TestStatGroup:
     def test_get_or_create_identity(self):
         group = StatGroup("cache")
@@ -142,11 +118,12 @@ class TestStatGroup:
         group = StatGroup("l1")
         group.counter("hits").increment(3)
         group.accumulator("lat").observe(10.0)
-        group.time_bucket("busy").add("quantum", 7)
         flat = group.as_dict()
-        assert flat["l1.hits"] == 3
-        assert flat["l1.lat.mean"] == 10.0
-        assert flat["l1.busy.quantum"] == 7
+        assert flat == {"l1.hits": 3, "l1.lat.mean": 10.0, "l1.lat.count": 1}
+
+    def test_counter_is_the_registry_counter(self):
+        # One counter class: a StatGroup hands out the registry's Counter.
+        assert type(StatGroup("l1").counter("hits")) is Counter
 
 
 class TestBusyResource:

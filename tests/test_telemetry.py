@@ -1,11 +1,15 @@
 """Tests for the unified telemetry layer (repro.telemetry)."""
 
 import json
+import os
+import subprocess
+import sys
+from collections import Counter as Tally
 
 import pytest
 
 from repro.service.jobs import JobSpec
-from repro.service.service import JobService, ServiceConfig, _quantile
+from repro.service.service import JobService, ServiceConfig
 from repro.service.api import ServiceAPI
 from repro.sim.stats import StatGroup
 from repro.telemetry import (
@@ -18,14 +22,12 @@ from repro.telemetry import (
     TraceGroup,
     TraceSpan,
     Tracer,
-    get_registry,
     make_trace_id,
     merged_chrome_trace,
     metric_key,
     nearest_rank_quantile,
     parse_prometheus_text,
     prometheus_name,
-    set_registry,
     to_prometheus_text,
 )
 from repro.analysis.trace import TraceRecorder
@@ -59,9 +61,13 @@ class TestNearestRankQuantile:
             nearest_rank_quantile([1.0], -0.1)
 
     def test_service_quantile_delegates(self):
-        # The service's metrics snapshot reuses the fixed quantile.
-        assert _quantile([1.0, 2.0, 3.0, 4.0, 5.0], 0.5) == 3.0
-        assert _quantile([], 0.5) == 0.0
+        # The service's metrics snapshot reads its latency histogram,
+        # which uses the fixed quantile.
+        service = JobService()
+        assert service.metrics_snapshot()["latency_s"]["p50"] == 0.0
+        for value in (1.0, 2.0, 3.0, 4.0, 5.0):
+            service.telemetry.histogram("service.job.latency_s").observe(value)
+        assert service.metrics_snapshot()["latency_s"]["p50"] == 3.0
 
 
 # ----------------------------------------------------------------------
@@ -70,15 +76,15 @@ class TestNearestRankQuantile:
 class TestInstruments:
     def test_counter_monotone_integral(self):
         counter = Counter("service.jobs")
-        counter.inc()
-        counter.inc(4)
+        counter.increment()
+        counter.increment(4)
         assert counter.value == 5
         with pytest.raises(ValueError):
-            counter.inc(-1)
+            counter.increment(-1)
         with pytest.raises(TypeError):
-            counter.inc(True)
+            counter.increment(True)
         with pytest.raises(TypeError):
-            counter.inc(1.5)
+            counter.increment(1.5)
 
     def test_gauge_finite(self):
         gauge = Gauge("service.backlog")
@@ -154,25 +160,29 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.snapshot()
 
-    def test_default_registry_swap(self):
-        original = get_registry()
-        try:
-            mine = MetricsRegistry()
-            set_registry(mine)
-            assert get_registry() is mine
-        finally:
-            set_registry(original)
-
-    def test_stat_group_publish_to(self):
+    def test_equal_collector_registers_once(self):
         registry = MetricsRegistry()
         group = StatGroup("engine")
         group.counter("hits").increment(3)
-        group.publish_to(registry, prefix="runtime")
-        assert registry.collect_external() == {"runtime.engine.hits": 3.0}
+        registry.register_collector(group.as_dict)
+        registry.register_collector(group.as_dict)
+        assert registry.collect_external() == {"engine.hits": 3.0}
+
+    def test_collector_names_are_validated(self):
+        registry = MetricsRegistry()
+        registry.register_collector(lambda: {"Engine.Hits": 1.0})
+        with pytest.raises(ValueError):
+            registry.collect_external()
 
     def test_metric_key_sanitises(self):
-        assert metric_key("engine.Hits-Total") == "engine.hits_total"
-        assert metric_key("tenant-0", "scheduler") == "scheduler.tenant_0"
+        # [a-z0-9] names stay as they are; anything else is escaped
+        # injectively, so distinct user strings never share a series.
+        assert metric_key("tenant0", "scheduler") == "scheduler.tenant0"
+        assert metric_key("tenant-0", "scheduler") == "scheduler.tenant_2d_0"
+        assert metric_key("team_a", "s") != metric_key("team-a", "s")
+        assert metric_key("Alice", "s") != metric_key("alice", "s")
+        assert metric_key("a.b", "s") == "s.a_2e_b"
+        assert metric_key("", "s") == "s._"
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +191,7 @@ class TestRegistry:
 class TestPrometheus:
     def _registry(self):
         registry = MetricsRegistry()
-        registry.counter("service.jobs.done").inc(3)
+        registry.counter("service.jobs.done").increment(3)
         registry.gauge("service.backlog").set(2.0)
         hist = registry.histogram("service.latency_s", buckets=(0.1, 1.0))
         for value in (0.05, 0.5, 5.0):
@@ -336,7 +346,7 @@ class TestTracing:
 # ----------------------------------------------------------------------
 # end-to-end determinism through the job service
 # ----------------------------------------------------------------------
-def _seeded_run():
+def _seeded_run(tenants=("tenant0", "tenant1"), seed_of=lambda i: i // 2):
     registry = MetricsRegistry()
     events = EventLog(sample_every=2)
     service = JobService(
@@ -348,15 +358,131 @@ def _seeded_run():
     api = ServiceAPI(service=service)
     submissions = [
         (
-            f"tenant{i % 2}",
+            tenants[i % 2],
             JobSpec(
-                workload="qaoa", n_qubits=4, shots=32, iterations=1, seed=i // 2
+                workload="qaoa", n_qubits=4, shots=32, iterations=1, seed=seed_of(i)
             ),
         )
         for i in range(4)
     ]
     batch = api.run_batch(submissions)
     return registry, events, service, batch
+
+
+def _engine_sweep_registry():
+    """The telemetry-on sweep of ``benchmarks/bench_telemetry.py``."""
+    from repro import EvaluationEngine, HybridRunner, QtenonSystem
+    from repro.vqa import make_optimizer
+    from repro.vqa.ansatz import hardware_efficient_ansatz
+    from repro.vqa.hamiltonians import molecular_hamiltonian
+
+    ansatz, parameters = hardware_efficient_ansatz(8, n_layers=1, rotations=("ry",))
+    engine = EvaluationEngine(QtenonSystem(8, seed=7), max_workers=1, seed=7)
+    registry = MetricsRegistry()
+    engine.attach_telemetry(registry)
+    engine.tracer = Tracer(make_trace_id("bench"))
+    HybridRunner(
+        engine,
+        ansatz,
+        parameters,
+        molecular_hamiltonian(8, seed=0),
+        make_optimizer("gd"),
+        shots=4_000,
+        iterations=1,
+    ).run(seed=7)
+    engine.close()
+    return registry
+
+
+#: Families a fresh process exports for ``_seeded_run()`` and then the
+#: engine sweep.  Dashboards key on these names: a change here is an
+#: interface change, not a refactor.
+SEEDED_RUN_FAMILIES = [
+    ("repro_admission_admitted", "gauge"),
+    ("repro_admission_open_jobs_count", "gauge"),
+    ("repro_admission_open_jobs_mean", "gauge"),
+    ("repro_eval_cache_evictions", "gauge"),
+    ("repro_eval_cache_hit_rate", "gauge"),
+    ("repro_eval_cache_hits", "gauge"),
+    ("repro_eval_cache_insertions", "gauge"),
+    ("repro_eval_cache_misses", "gauge"),
+    ("repro_planner_chosen_statevector", "gauge"),
+    ("repro_planner_class_general", "gauge"),
+    ("repro_planner_decisions", "gauge"),
+    ("repro_planner_forced", "gauge"),
+    ("repro_service_backend_qtenon_attempts", "gauge"),
+    ("repro_service_backend_qtenon_consecutive_failures", "gauge"),
+    ("repro_service_backend_qtenon_failure_rate", "gauge"),
+    ("repro_service_backend_qtenon_failures", "gauge"),
+    ("repro_service_backend_qtenon_healthy", "gauge"),
+    ("repro_service_backend_qtenon_successes", "gauge"),
+    ("repro_service_coalesced", "gauge"),
+    ("repro_service_dispatched", "gauge"),
+    ("repro_service_job_latency_s", "histogram"),
+    ("repro_service_job_sim_end_to_end_ps", "histogram"),
+    ("repro_service_jobs_done", "gauge"),
+    ("repro_service_queue_depth_count", "gauge"),
+    ("repro_service_queue_depth_mean", "gauge"),
+    ("repro_service_scheduler_backlog", "gauge"),
+    ("repro_service_scheduler_fairness_jain", "gauge"),
+    ("repro_service_scheduler_served_cost_tenant0", "gauge"),
+    ("repro_service_sim_comm_ps_total", "counter"),
+    ("repro_service_sim_host_compute_ps_total", "counter"),
+    ("repro_service_sim_pulse_gen_ps_total", "counter"),
+    ("repro_service_sim_quantum_ps_total", "counter"),
+    ("repro_service_submitted", "gauge"),
+    ("repro_sessions_open", "gauge"),
+    ("repro_sessions_pinned_programs", "gauge"),
+    ("repro_stabilizer_gates_applied", "gauge"),
+    ("repro_stabilizer_shots_sampled", "gauge"),
+    ("repro_stabilizer_tableau_runs", "gauge"),
+    ("repro_stabilizer_wide_path_samples", "gauge"),
+]
+
+ENGINE_SWEEP_FAMILIES = [
+    ("repro_adjoint_batch_rows", "gauge"),
+    ("repro_adjoint_batch_sweeps", "gauge"),
+    ("repro_adjoint_forward_passes", "gauge"),
+    ("repro_adjoint_partials", "gauge"),
+    ("repro_adjoint_reverse_sweeps", "gauge"),
+    ("repro_adjoint_shift_fallbacks", "gauge"),
+    ("repro_kernels_batch_replays", "gauge"),
+    ("repro_kernels_batch_rows", "gauge"),
+    ("repro_kernels_diag_fast_applies", "gauge"),
+    ("repro_kernels_gates_applied", "gauge"),
+    ("repro_kernels_gates_fused", "gauge"),
+    ("repro_kernels_program_cache_hits", "gauge"),
+    ("repro_kernels_programs_compiled", "gauge"),
+    ("repro_kernels_replays", "gauge"),
+    ("repro_planner_chosen_statevector", "gauge"),
+    ("repro_planner_class_general", "gauge"),
+    ("repro_planner_decisions", "gauge"),
+    ("repro_planner_forced", "gauge"),
+    ("repro_replay_cache_evictions", "gauge"),
+    ("repro_replay_cache_hits", "gauge"),
+    ("repro_replay_cache_misses", "gauge"),
+    ("repro_replay_cache_programs", "gauge"),
+    ("repro_runtime_evaluations", "gauge"),
+    ("repro_runtime_serial_evaluations", "gauge"),
+    ("repro_stabilizer_gates_applied", "gauge"),
+    ("repro_stabilizer_shots_sampled", "gauge"),
+    ("repro_stabilizer_tableau_runs", "gauge"),
+    ("repro_stabilizer_wide_path_samples", "gauge"),
+]
+
+#: Runs in a fresh interpreter: the process-wide planner counters are
+#: created lazily, so names depend on what the process ran before.
+_FAMILIES_SCRIPT = """
+import json
+from repro.telemetry import parse_prometheus_text, to_prometheus_text
+from tests.test_telemetry import _engine_sweep_registry, _seeded_run
+
+def families(registry):
+    parsed = parse_prometheus_text(to_prometheus_text(registry))
+    return sorted((name, family["type"]) for name, family in parsed.items())
+
+print(json.dumps([families(_seeded_run()[0]), families(_engine_sweep_registry())]))
+"""
 
 
 class TestServiceTelemetry:
@@ -415,8 +541,8 @@ class TestServiceTelemetry:
         assert "repro_service_job_latency_s" in families
 
     def test_planner_and_stabilizer_metrics_round_trip(self):
-        """register_service pulls the process-wide planner/stabilizer
-        counters in; they must survive the Prometheus round trip."""
+        """A JobService publishes the process-wide planner/stabilizer
+        counters; they must survive the Prometheus round trip."""
         registry, _events, _service, _batch = _seeded_run()
         families = parse_prometheus_text(to_prometheus_text(registry))
         for name in (
@@ -427,22 +553,89 @@ class TestServiceTelemetry:
         ):
             assert name in families, name
 
-    def test_planner_collectors_not_double_registered(self):
-        """One registry hosting both an engine and a service must count
-        the global planner/stabilizer groups exactly once."""
+    def test_exported_family_names_are_stable(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", _FAMILIES_SCRIPT],
+            cwd=root,
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        seeded, engine = json.loads(out.splitlines()[-1])
+        assert [tuple(entry) for entry in seeded] == SEEDED_RUN_FAMILIES
+        assert [tuple(entry) for entry in engine] == ENGINE_SWEEP_FAMILIES
+
+    def test_one_source_per_exported_name(self):
+        """One registry hosting an engine and a service that share an
+        EvalCache: every name comes from exactly one collector, and the
+        process-wide groups and the shared cache register once."""
+        from repro import EvaluationEngine, QtenonSystem
         from repro.planner import PLANNER_STATS
-        from repro.telemetry import register_planner
+        from repro.quantum.adjoint import ADJOINT_STATS
+        from repro.quantum.kernels import kernel_stats
+        from repro.quantum.stabilizer import STABILIZER_STATS
+        from repro.vqa import make_optimizer, vqe_workload
+        from repro.vqa.runner import HybridRunner
 
         registry = MetricsRegistry()
-        register_planner(registry)
-        register_planner(registry)
-        value = PLANNER_STATS.counter("decisions").value
-        hits = [
-            collector()["planner.decisions"]
-            for collector in registry._collectors
-            if "planner.decisions" in collector()
-        ]
-        assert hits == [float(value)]  # exactly one collector, live value
+        service = JobService(
+            ServiceConfig(workers=1, cache_entries=64), telemetry=registry
+        )
+        engine = EvaluationEngine(QtenonSystem(4, seed=0), cache=service.cache)
+        engine.attach_telemetry(registry)
+        workload = vqe_workload(4)
+        HybridRunner(
+            engine,
+            workload.ansatz,
+            workload.parameters,
+            workload.observable,
+            make_optimizer("spsa"),
+            shots=64,
+            iterations=1,
+        ).run(seed=0)
+        ServiceAPI(service=service).run_batch(
+            [("alice", JobSpec(workload="qaoa", n_qubits=4, shots=32, iterations=1))]
+        )
+        sources = Tally(
+            name for collect in registry._collectors for name in collect()
+        )
+        assert sources and set(sources.values()) == {1}
+        for shared in (
+            PLANNER_STATS.as_dict,
+            STABILIZER_STATS.as_dict,
+            ADJOINT_STATS.as_dict,
+            kernel_stats,
+            service.cache.as_dict,
+        ):
+            assert registry._collectors.count(shared) == 1
+        assert registry.collect_external()["eval_cache.hit_rate"] == (
+            service.cache.hit_rate
+        )
+        registry.snapshot()  # no collector/instrument collision
+
+    def test_distinct_tenants_export_distinct_series(self):
+        """``team-a`` and ``team_a`` used to share one Prometheus series."""
+        registry, _events, service, _batch = _seeded_run(
+            tenants=("team-a", "team_a"), seed_of=lambda i: i
+        )
+        served = service.metrics_snapshot()["scheduler"]["served_cost_by_tenant"]
+        assert set(served) == {"team-a", "team_a"}
+        families = parse_prometheus_text(to_prometheus_text(registry))
+        exported = {
+            name: family["samples"][0][2]
+            for name, family in families.items()
+            if name.startswith("repro_service_scheduler_served_cost_")
+        }
+        assert len(exported) == 2
+        assert exported == {
+            prometheus_name(
+                metric_key(tenant, "service.scheduler.served_cost"), "repro"
+            ): cost
+            for tenant, cost in served.items()
+        }
 
     def test_events_cover_lifecycle(self):
         _registry, events, _service, _batch = _seeded_run()

@@ -308,23 +308,20 @@ class TestPoolLifecycle:
         assert extra.get("workers.kernels.replays", 0) > 0
 
     def test_worker_stats_flow_through_register_engine(self):
-        from repro.telemetry.bridge import register_engine
         from repro.telemetry.metrics import MetricsRegistry
 
         workload = _workload()
         engine = _engine(workload, max_workers=2)
         registry = MetricsRegistry()
-        register_engine(registry, engine, prefix="rt")
+        engine.attach_telemetry(registry)
         bindings = [{p: 0.15 for p in workload[1]}, {p: -0.3 for p in workload[1]}]
         engine.evaluate_many(bindings, SHOTS)
         collected = registry.collect_external()
-        assert collected.get("rt.workers.pool.batches", 0) > 0
-        assert "rt.workers.replay_cache.hits" in collected
+        assert collected.get("workers.pool.batches", 0) > 0
+        assert "workers.replay_cache.hits" in collected
         engine.close()
         # After teardown the collector serves the last snapshot.
-        assert (
-            registry.collect_external().get("rt.workers.pool.batches", 0) > 0
-        )
+        assert registry.collect_external().get("workers.pool.batches", 0) > 0
 
     def test_pool_validates_inputs(self):
         spec, payload = self._spec_payload()
