@@ -1,6 +1,6 @@
 """Qtenon core: controller cache, SLT, pipeline, interfaces, system."""
 
-from repro.core.barrier import MemoryBarrier, SyncedRange
+from repro.core.barrier import MemoryBarrier
 from repro.core.config import DEFAULT_CONFIG, QtenonConfig
 from repro.core.controller import QuantumController, RunResult
 from repro.core.executor import ExecutionLog, StreamExecutor
@@ -22,6 +22,7 @@ from repro.core.qcc import (
 from repro.core.scheduler import (
     RunTimeline,
     TransmissionBatch,
+    TransmissionPlan,
     batch_interval,
     compute_run_timeline,
     plan_transmissions,
@@ -66,8 +67,8 @@ __all__ = [
     "WriteBufferQueue",
     "BulkTransfer",
     "MemoryBarrier",
-    "SyncedRange",
     "TransmissionBatch",
+    "TransmissionPlan",
     "RunTimeline",
     "batch_interval",
     "shot_record_bytes",

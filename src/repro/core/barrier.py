@@ -22,31 +22,26 @@ For race 2 the paper contrasts two mechanisms, both modelled here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from repro.sim.clock import HOST_CLOCK, Clock
 from repro.sim.stats import StatGroup
 
 
-@dataclass(frozen=True)
-class SyncedRange:
-    """A host address range and the time its data becomes valid."""
-
-    addr: int
-    size: int
-    ready_ps: int
-
-    def covers(self, addr: int) -> bool:
-        return self.addr <= addr < self.addr + self.size
-
-
 class MemoryBarrier:
-    """The controller-side barrier table (one entry per PUT)."""
+    """The controller-side barrier table.
+
+    Entries are segments ``[addr, size, count, ready, step]`` of
+    contiguous equal ranges: range *k* is ``[addr + k*size, +size)``,
+    valid from ``ready + k*step``.  A q_run's full PUTs are contiguous
+    (Algorithm 1) and, between retransmits, evenly spaced in time (the
+    closed-form timeline), so each extends the open segment in O(1) and
+    the table holds a few segments per q_run.
+    """
 
     def __init__(self, clock: Clock = HOST_CLOCK) -> None:
         self.clock = clock
-        self._ranges: List[SyncedRange] = []
+        self._segments: List[List[int]] = []
         self.stats = StatGroup("barrier")
         self._queries = self.stats.counter("queries")
         self._stall_acc = self.stats.accumulator("stall_ps")
@@ -59,10 +54,19 @@ class MemoryBarrier:
         (the PUT request has been sent through the system bus)."""
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
-        self._ranges.append(SyncedRange(addr, size, ready_ps))
+        if self._segments:
+            segment = self._segments[-1]
+            base, seg_size, count, ready, step = segment
+            if size == seg_size and addr == base + count * size:
+                if count == 1 and ready_ps >= ready:
+                    step = segment[4] = ready_ps - ready  # the second range fixes it
+                if ready_ps == ready + count * step:
+                    segment[2] = count + 1
+                    return
+        self._segments.append([addr, size, 1, ready_ps, 0])
 
     def clear(self) -> None:
-        self._ranges.clear()
+        self._segments.clear()
 
     # ------------------------------------------------------------------
     # host side
@@ -73,23 +77,36 @@ class MemoryBarrier:
         Returns the earliest time the host may consume ``addr``:
         the single-cycle RoCC query plus any wait until the covering
         PUT is on the bus.  An address never marked is immediately
-        usable after the query (it is not quantum-synchronised).
+        usable after the query (it is not quantum-synchronised).  When
+        several PUTs covered ``addr``, the most recent one decides.
         """
         self._queries.increment()
         query_done = now_ps + self.clock.period_ps
         ready = query_done
-        for entry in reversed(self._ranges):
-            if entry.covers(addr):
-                ready = max(query_done, entry.ready_ps)
+        # Ranges within a segment are disjoint, so the latest segment
+        # covering ``addr`` holds the most recent covering range.
+        for base, size, count, first_ready, step in reversed(self._segments):
+            k = (addr - base) // size
+            if 0 <= k < count:
+                ready = max(query_done, first_ready + k * step)
                 break
         self._stall_acc.observe(ready - query_done)
         return ready
 
     def fence(self, now_ps: int) -> int:
         """Coarse FENCE (Fig. 9a): wait for *all* recorded operations."""
-        latest = max((entry.ready_ps for entry in self._ranges), default=now_ps)
+        latest = max(
+            (ready + (count - 1) * step for _, _, count, ready, step in self._segments),
+            default=now_ps,
+        )
         return max(now_ps, latest)
 
     def pending_after(self, now_ps: int) -> int:
         """How many synchronised ranges are not yet valid at ``now_ps``."""
-        return sum(1 for entry in self._ranges if entry.ready_ps > now_ps)
+        pending = 0
+        for _, _, count, ready, step in self._segments:
+            if step:
+                pending += count - min(count, max(0, (now_ps - ready) // step + 1))
+            elif ready > now_ps:
+                pending += count
+        return pending

@@ -13,8 +13,8 @@ and replay the run for its timeline alone).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
-
 
 from repro.compiler.lowering import LoweredGate, QtenonProgram, WORDS_PER_ENTRY
 from repro.core.barrier import MemoryBarrier
@@ -212,20 +212,19 @@ class QuantumController:
                 )
 
         shot_ps = self.device.shot_duration_ps(circuit)
-        batches = plan_transmissions(circuit.n_qubits, shots, host_addr, batched)
+        plan = plan_transmissions(circuit.n_qubits, shots, host_addr, batched)
         put_latency = self._put_response_latency(host_addr, record, now_ps)
 
         # Fault layer: decide per-batch PUT attempts up front so the
         # retransmission serialisation enters the overlap timeline.
-        decisions = None
-        attempts_per_batch = None
+        decisions = attempts_per_batch = None
         retry_penalty_ps = 0
         run_index = self._run_sequence
         self._run_sequence += 1
         if self.fault_injector is not None:
             decisions = [
                 self.fault_injector.measurement_put(run_index, i)
-                for i in range(len(batches))
+                for i in range(len(plan))
             ]
             attempts_per_batch = [d.attempts for d in decisions]
             self.stats.counter("put_retransmits").increment(
@@ -238,7 +237,7 @@ class QuantumController:
             )
 
         timeline = compute_run_timeline(
-            batches,
+            plan,
             start_ps=now_ps,
             shot_duration_ps=shot_ps,
             put_issue_overhead_ps=self.clock.period_ps,
@@ -247,23 +246,22 @@ class QuantumController:
             retry_penalty_ps=retry_penalty_ps,
         )
 
-        for index, (batch, issue) in enumerate(zip(batches, timeline.put_issue_times)):
-            if counts is not None:
-                payload = bytearray()
-                for shot in range(batch.first_shot, batch.first_shot + batch.n_shots):
-                    payload += shot_words[shot].to_bytes(8, "little")[:record]
-                self._deliver_batch_payload(
-                    batch.host_addr,
-                    bytes(payload),
-                    decisions[index] if decisions else None,
+        if counts is not None:
+            for batch, decision in zip(plan, decisions or repeat(None)):
+                payload = b"".join(
+                    shot_words[shot].to_bytes(8, "little")[:record]
+                    for shot in range(batch.first_shot, batch.first_shot + batch.n_shots)
                 )
-            self.barrier.mark_put(batch.host_addr, batch.n_bytes, issue)
+                self._deliver_batch_payload(batch.host_addr, payload, decision)
+        mark_put = self.barrier.mark_put
+        for (addr, n_bytes), issue in zip(plan.ranges(), timeline.iter_put_issues()):
+            mark_put(addr, n_bytes, issue)
         return RunResult(
             timeline=timeline,
             shot_words=tuple(shot_words),
             counts=counts or {},
             host_addr=host_addr,
-            n_batches=len(batches),
+            n_batches=len(plan),
         )
 
     def _deliver_batch_payload(self, host_addr, payload, decision=None) -> None:

@@ -10,16 +10,18 @@ segment to host memory.  Two transmission policies are modelled:
   per PUT, filling the bus width, with a tail flush after the last
   shot.
 
-:func:`plan_transmissions` reproduces Algorithm 1's loop structure and
-is used both functionally (which shots land in which PUT, at which
-host address) and for timing (when each PUT is issued relative to shot
-completions).
+Algorithm 1's loop makes every plan an arithmetic progression, so
+:func:`plan_transmissions` builds a batch only when indexed and
+:func:`compute_run_timeline` places the PUTs in closed form.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from functools import cached_property
+from itertools import repeat
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 BUS_WIDTH_BITS = 256
 
@@ -32,10 +34,6 @@ class TransmissionBatch:
     n_shots: int
     host_addr: int        #: destination host address
     n_bytes: int          #: payload size
-
-    @property
-    def last_shot(self) -> int:
-        return self.first_shot + self.n_shots - 1
 
 
 def batch_interval(n_qubits: int, bus_width_bits: int = BUS_WIDTH_BITS) -> int:
@@ -50,51 +48,93 @@ def shot_record_bytes(n_qubits: int) -> int:
     return -(-n_qubits // 8)
 
 
+class TransmissionPlan(SequenceABC):
+    """The PUTs covering ``shots`` shots, ``interval`` shots per PUT.
+
+    Every PUT but the last (the tail flush of lines 14-16) is full, and
+    the PUT starting at shot *f* lands ``f * record`` bytes past
+    ``host_addr`` (line 12: ``addr += ceil(N/8) * K``).
+    """
+
+    def __init__(self, shots: int, host_addr: int, interval: int, record: int) -> None:
+        self.shots = shots
+        self.host_addr = host_addr
+        self.interval = interval
+        self.record = record
+        #: address step between PUTs, and a full PUT's payload size
+        self.stride = record * interval
+        self._firsts = range(0, shots, interval)
+
+    def __len__(self) -> int:
+        return len(self._firsts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._batch(first) for first in self._firsts[index]]
+        return self._batch(self._firsts[index])
+
+    def _batch(self, first: int) -> TransmissionBatch:
+        count = min(self.interval, self.shots - first)
+        return TransmissionBatch(
+            first, count, self.host_addr + first * self.record, self.record * count
+        )
+
+    def ranges(self) -> Iterator[Tuple[int, int]]:
+        """``(host_addr, n_bytes)`` of every PUT, without building batches."""
+        tail = self._batch(self._firsts[-1])
+        for addr in range(self.host_addr, tail.host_addr, self.stride):
+            yield addr, self.stride
+        yield tail.host_addr, tail.n_bytes
+
+
 def plan_transmissions(
     n_qubits: int,
     shots: int,
     host_addr: int,
     batched: bool,
     bus_width_bits: int = BUS_WIDTH_BITS,
-) -> List[TransmissionBatch]:
-    """Algorithm 1 (or the immediate policy when ``batched=False``).
-
-    Returns the PUT plan covering all ``shots`` with the tail flush of
-    lines 14-16.
-    """
+) -> TransmissionPlan:
+    """Algorithm 1 (or the immediate policy when ``batched=False``)."""
     if shots <= 0:
         raise ValueError(f"shots must be positive, got {shots}")
-    record = shot_record_bytes(n_qubits)
     interval = batch_interval(n_qubits, bus_width_bits) if batched else 1
-
-    batches: List[TransmissionBatch] = []
-    addr = host_addr
-    first = 0
-    while first < shots:
-        count = min(interval, shots - first)
-        batches.append(
-            TransmissionBatch(
-                first_shot=first,
-                n_shots=count,
-                host_addr=addr,
-                n_bytes=record * count,
-            )
-        )
-        addr += record * interval  # line 12: addr += ceil(N/8) * K
-        first += count
-    return batches
+    return TransmissionPlan(shots, host_addr, interval, shot_record_bytes(n_qubits))
 
 
 @dataclass(frozen=True)
 class RunTimeline:
-    """Timing of one ``q_run``: shots plus overlapped transmissions."""
+    """Timing of one ``q_run``: shots plus overlapped transmissions.
+
+    PUT issue times are arithmetic pieces ``(count, first_ps, step_ps)``
+    in PUT order (a fault-free run has two: the uniform run and the
+    tail); each PUT responds ``put_response_latency_ps`` after it issues.
+    """
 
     start_ps: int
     quantum_end_ps: int        #: last shot finished on the chip
-    last_put_issue_ps: int     #: last PUT handed to the system bus
-    last_put_response_ps: int  #: last PUT acknowledged
-    put_issue_times: Sequence[int]
-    put_response_times: Sequence[int]
+    put_response_latency_ps: int
+    issue_pieces: Tuple[Tuple[int, int, int], ...]
+
+    @property
+    def last_put_issue_ps(self) -> int:
+        count, first, step = self.issue_pieces[-1]
+        return first + (count - 1) * step
+
+    @property
+    def last_put_response_ps(self) -> int:
+        return self.last_put_issue_ps + self.put_response_latency_ps
+
+    def iter_put_issues(self) -> Iterator[int]:
+        for count, first, step in self.issue_pieces:
+            yield from range(first, first + count * step, step) if step else repeat(first, count)
+
+    @cached_property
+    def put_issue_times(self) -> Tuple[int, ...]:
+        return tuple(self.iter_put_issues())
+
+    @cached_property
+    def put_response_times(self) -> Tuple[int, ...]:
+        return tuple(t + self.put_response_latency_ps for t in self.iter_put_issues())
 
     @property
     def quantum_duration_ps(self) -> int:
@@ -107,7 +147,7 @@ class RunTimeline:
 
 
 def compute_run_timeline(
-    batches: Sequence[TransmissionBatch],
+    plan: TransmissionPlan,
     start_ps: int,
     shot_duration_ps: int,
     put_issue_overhead_ps: int,
@@ -123,45 +163,61 @@ def compute_run_timeline(
     L2 latency.  Quantum execution is never stalled by transmissions —
     the .measure segment double-buffers.
 
+    With ``s = K * shot_duration`` and ``o`` the issue overhead, PUT *i*
+    of the uniform run issues at ``start + s + o + i * max(s, o)`` and
+    the tail at ``max(last shot done, previous issue) + o``.
+
     ``attempts_per_batch`` models the end-to-end retransmit protocol of
     the fault layer: batch *i* needs ``attempts_per_batch[i]`` PUT
     attempts (all >= 1; 1 means fault-free), and every failed attempt
     occupies the controller's output port for ``retry_penalty_ps``
-    (NACK detection + re-send) before the successful one issues.  The
-    default (``None``) is bit-identical to the fault-free timeline.
+    (NACK detection + re-send) before the successful one issues.  Each
+    retried batch is placed on its own and the fault-free stretches
+    between them stay closed form.  The default (``None``) is
+    bit-identical to the fault-free timeline.
     """
-    if not batches:
+    if not plan:
         raise ValueError("no transmission batches")
     if shot_duration_ps <= 0:
         raise ValueError("shot duration must be positive")
+    n = len(plan)
+    retries = {}
     if attempts_per_batch is not None:
-        if len(attempts_per_batch) != len(batches):
+        if len(attempts_per_batch) != n:
             raise ValueError(
                 f"attempts_per_batch has {len(attempts_per_batch)} entries "
-                f"for {len(batches)} batches"
+                f"for {n} batches"
             )
         if any(a < 1 for a in attempts_per_batch):
             raise ValueError("every batch needs at least one PUT attempt")
+        retries = {i: a for i, a in enumerate(attempts_per_batch) if a > 1}
     if retry_penalty_ps < 0:
         raise ValueError(f"retry_penalty_ps must be >= 0, got {retry_penalty_ps}")
-    issue_times: List[int] = []
-    response_times: List[int] = []
-    port_free = start_ps
-    quantum_end = start_ps
-    for index, batch in enumerate(batches):
-        shot_done = start_ps + (batch.last_shot + 1) * shot_duration_ps
-        quantum_end = max(quantum_end, shot_done)
-        attempts = 1 if attempts_per_batch is None else attempts_per_batch[index]
-        issue = max(shot_done, port_free) + put_issue_overhead_ps
-        issue += (attempts - 1) * retry_penalty_ps
-        port_free = issue
-        issue_times.append(issue)
-        response_times.append(issue + put_response_latency_ps)
-    return RunTimeline(
-        start_ps=start_ps,
-        quantum_end_ps=quantum_end,
-        last_put_issue_ps=issue_times[-1],
-        last_put_response_ps=response_times[-1],
-        put_issue_times=tuple(issue_times),
-        put_response_times=tuple(response_times),
-    )
+    batch_ps = plan.interval * shot_duration_ps
+    overhead, step = put_issue_overhead_ps, max(batch_ps, put_issue_overhead_ps)
+    quantum_end = start_ps + plan.shots * shot_duration_ps
+    pieces: List[Tuple[int, int, int]] = []
+    placed, port_free = -1, start_ps  # last PUT placed and its issue time
+    for index in sorted({*retries, n - 1}):
+        count = index - placed - 1
+        if count > 0:
+            # Fault-free full PUT placed+1+t issues at max(port_free +
+            # (t+1)*o, first + t*step): a backlog on the port drains by
+            # step - o per PUT, then the issues follow the shots.
+            first = start_ps + (placed + 2) * batch_ps + overhead
+            lead = port_free + overhead - first
+            drained = (
+                0 if lead < 0 else count if step == overhead
+                else min(count, lead // (step - overhead) + 1)
+            )
+            if drained:
+                pieces.append((drained, port_free + overhead, overhead))
+            if drained < count:
+                pieces.append((count - drained, first + drained * step, step))
+            port_free = max(port_free + count * overhead, first + (count - 1) * step)
+        shot_done = quantum_end if index == n - 1 else start_ps + (index + 1) * batch_ps
+        port_free = max(shot_done, port_free) + overhead
+        port_free += (retries.get(index, 1) - 1) * retry_penalty_ps
+        pieces.append((1, port_free, 0))
+        placed = index
+    return RunTimeline(start_ps, quantum_end, put_response_latency_ps, tuple(pieces))

@@ -29,9 +29,9 @@ Three feature flags map to the paper's ablations:
 
 Timing is *exposed-time* accounting: each phase contributes its
 critical-path share, so the breakdown sums to the end-to-end time.
-The run/post-processing overlap can be computed analytically or by
-scheduling events on the DES kernel (``overlap_mode``); the two agree
-exactly and tests assert it.
+The run/post-processing overlap is a closed form over the run
+timeline's arithmetic pieces (tests cross-check it against a per-PUT
+loop and a DES run).
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from repro.runtime.engine import (
     spec_vector,
 )
 from repro.sim.clock import HOST_CLOCK
-from repro.sim.kernel import Simulator
 
 #: Host memory layout for the reproduction's workloads.
 HOST_PROGRAM_BASE = 0x1000_0000
@@ -236,7 +235,6 @@ class QtenonSystem(SpecValues):
         config: Optional[QtenonConfig] = None,
         costs: WorkloadCosts = DEFAULT_COSTS,
         exact_limit: int = DEFAULT_EXACT_LIMIT,
-        overlap_mode: str = "analytic",
         backend: Optional[str] = None,
         timing_only: bool = False,
         optimize_circuits: bool = False,
@@ -244,8 +242,6 @@ class QtenonSystem(SpecValues):
         readout_noise=None,
         fault_injector=None,
     ) -> None:
-        if overlap_mode not in ("analytic", "event"):
-            raise ValueError(f"overlap_mode must be 'analytic' or 'event', got {overlap_mode!r}")
         self.config = config or QtenonConfig(n_qubits=n_qubits)
         if self.config.n_qubits < n_qubits:
             raise ValueError(
@@ -254,7 +250,6 @@ class QtenonSystem(SpecValues):
         self.n_qubits = n_qubits
         self.core = core
         self.features = features
-        self.overlap_mode = overlap_mode
         #: timing-only mode: full architectural timeline, no quantum
         #: state — large sweep benches (Fig. 11/12/17) use this; the
         #: objective seen by the optimizer is a smooth deterministic
@@ -460,22 +455,13 @@ class QtenonSystem(SpecValues):
         batch_fixed = self.workload.batch_handling_ps()
         per_batch_host = post_total // run.n_batches + batch_fixed
 
-        quantum_exposed = timeline.quantum_end_ps - timeline.start_ps
+        quantum_exposed = timeline.quantum_duration_ps
         if self.features.fine_grained_sync:
-            host_done = self._overlapped_host_done(timeline, per_batch_host)
-            end = max(timeline.quantum_end_ps, host_done, timeline.last_put_response_ps)
-            comm_exposed = max(
-                0, timeline.last_put_response_ps - timeline.quantum_end_ps
-            )
-            host_exposed = max(
-                0, end - max(timeline.quantum_end_ps, timeline.last_put_response_ps)
-            )
-            comm_busy = sum(
-                response - issue
-                for issue, response in zip(
-                    timeline.put_issue_times, timeline.put_response_times
-                )
-            )
+            bus_done = max(timeline.quantum_end_ps, timeline.last_put_response_ps)
+            end = max(bus_done, self._overlapped_host_done(timeline, per_batch_host))
+            comm_exposed = timeline.comm_tail_ps
+            host_exposed = end - bus_done
+            comm_busy = run.n_batches * timeline.put_response_latency_ps
             host_busy = post_total + run.n_batches * batch_fixed
             self._count_instr("q_acquire", 1)  # the streamed acquire
         else:
@@ -516,29 +502,17 @@ class QtenonSystem(SpecValues):
         self.now = end
 
     def _overlapped_host_done(self, timeline, per_batch_host: int) -> int:
-        if self.overlap_mode == "event":
-            return self._overlapped_host_done_event(timeline, per_batch_host)
+        """When the serial host, taking each batch one barrier query after
+        its PUT responds, finishes the run (Fig. 9b).  Over a piece of
+        PUTs ``step`` apart it either keeps up or stays busy throughout."""
+        lag = timeline.put_response_latency_ps + self.clock.period_ps
         host_free = timeline.start_ps
-        for response in timeline.put_response_times:
-            ready = response + self.clock.period_ps  # barrier query
-            host_free = max(host_free, ready) + per_batch_host
+        for count, first, step in timeline.issue_pieces:
+            host_free = max(
+                host_free + count * per_batch_host,
+                first + lag + per_batch_host + (count - 1) * max(step, per_batch_host),
+            )
         return host_free
-
-    def _overlapped_host_done_event(self, timeline, per_batch_host: int) -> int:
-        """Same computation, driven through the DES kernel: each batch
-        response schedules a host-processing event on a serial host."""
-        sim = Simulator()
-        state = {"host_free": timeline.start_ps}
-
-        def process(ready: int) -> None:
-            begin = max(ready, state["host_free"])
-            state["host_free"] = begin + per_batch_host
-
-        for response in timeline.put_response_times:
-            ready = response + self.clock.period_ps
-            sim.schedule_at(ready, lambda r=ready: process(r))
-        sim.run()
-        return state["host_free"]
 
     # ------------------------------------------------------------------
     # accounting helpers

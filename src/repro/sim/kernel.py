@@ -117,11 +117,6 @@ class Simulator:
         """Number of (non-cancelled) events executed so far."""
         return self._events_processed
 
-    @property
-    def pending_events(self) -> int:
-        """Number of events still in the heap (including cancelled)."""
-        return len(self._heap)
-
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------

@@ -7,6 +7,8 @@ from repro.core import QtenonFeatures, QtenonSystem
 from repro.host import ROCKET
 from repro.vqa import qaoa_workload, vqe_workload
 
+from tests.timing_oracle import overlapped_host_done_event
+
 
 def run_evaluations(system, workload, n_evals=3, shots=50, seed=0):
     rng = np.random.default_rng(seed)
@@ -38,10 +40,6 @@ class TestLifecycle:
         system.prepare(wl.ansatz, wl.observable)
         with pytest.raises(ValueError):
             system.evaluate({p: 0.0 for p in wl.parameters}, -1)
-
-    def test_bad_overlap_mode_rejected(self):
-        with pytest.raises(ValueError, match="overlap_mode"):
-            QtenonSystem(4, overlap_mode="magic")
 
 
 class TestReportConsistency:
@@ -170,14 +168,19 @@ class TestAblationOrdering:
 
 
 class TestOverlapModes:
-    def test_event_mode_matches_analytic(self):
+    def test_event_mode_matches_analytic(self, monkeypatch):
+        """The closed-form overlap against a DES run of the per-PUT
+        host (``tests/timing_oracle.py``), through whole evaluations."""
         wl = vqe_workload(6, n_layers=1)
-        analytic, _ = run_evaluations(
-            QtenonSystem(6, overlap_mode="analytic", seed=5), wl, n_evals=3
+        analytic, _ = run_evaluations(QtenonSystem(6, seed=5), wl, n_evals=3)
+        monkeypatch.setattr(
+            QtenonSystem,
+            "_overlapped_host_done",
+            lambda self, timeline, per_batch_host: overlapped_host_done_event(
+                timeline, per_batch_host, self.clock.period_ps
+            ),
         )
-        event, _ = run_evaluations(
-            QtenonSystem(6, overlap_mode="event", seed=5), wl, n_evals=3
-        )
+        event, _ = run_evaluations(QtenonSystem(6, seed=5), wl, n_evals=3)
         assert analytic.end_to_end_ps == event.end_to_end_ps
         assert analytic.breakdown.as_dict() == event.breakdown.as_dict()
 
